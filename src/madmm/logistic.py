@@ -19,11 +19,18 @@ this in the solver's composite form with m = 3 blocks:
 The standalone per-block updates (:func:`x1_update` and friends) expose
 the same closed forms directly for cross-checking against the generic
 machinery.
+
+The setup from :func:`build_problem` reads the products A^T x1 and A^T x2
+from one score state that forms each only when its block changes, so a
+solver iteration costs about 6 d-by-q products. The public functions
+(:func:`phi_eval` and friends) form their products on every call and
+share their closed forms with the state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit
@@ -50,10 +57,27 @@ from .surrogates import (
 _CONST_FLOOR = 1e-12
 
 
+def _scores(u: np.ndarray, s: np.ndarray, x3: float) -> np.ndarray:
+    """Scores from the products u = A^T x1 and s = A^T x2."""
+    return u * u + s + float(np.asarray(x3).reshape(-1)[0])
+
+
 def phi_eval(data: Dataset, x1: np.ndarray, x2: np.ndarray, x3: float) -> np.ndarray:
     """Scores of all samples: component i is <a_i,x1>^2 + <a_i,x2> + x3."""
-    u = data.A.T @ x1
-    return u * u + data.A.T @ x2 + float(np.asarray(x3).reshape(-1)[0])
+    return _scores(data.A.T @ x1, data.A.T @ x2, x3)
+
+
+def _jac_block_apply(
+    data: Dataset, block: int, u: Optional[np.ndarray], w: np.ndarray
+) -> np.ndarray:
+    """:func:`phi_jac_block_apply` given u = A^T x1 (read by block 0 only)."""
+    if block == 0:
+        return 2.0 * (data.A @ (w * u))
+    if block == 1:
+        return data.A @ w
+    if block == 2:
+        return np.array([float(w.sum())])
+    raise ValueError(f"block must be 0, 1, or 2, got {block}")
 
 
 def phi_jac_block_apply(
@@ -64,14 +88,16 @@ def phi_jac_block_apply(
     Block 0 needs the current quadratic weights; blocks 1 and 2 are linear
     and constant respectively.
     """
-    if block == 0:
-        u = data.A.T @ x1
-        return 2.0 * (data.A @ (w * u))
-    if block == 1:
-        return data.A @ w
-    if block == 2:
-        return np.array([float(w.sum())])
-    raise ValueError(f"block must be 0, 1, or 2, got {block}")
+    u = data.A.T @ x1 if block == 0 else None
+    return _jac_block_apply(data, block, u, w)
+
+
+def _logistic_value(data: Dataset, y: np.ndarray) -> float:
+    return float(np.logaddexp(0.0, -(data.b * y)).sum() / data.q)
+
+
+def _logistic_grad(data: Dataset, y: np.ndarray) -> np.ndarray:
+    return -(data.b * expit(-(data.b * y))) / data.q
 
 
 def logistic_h(data: Dataset, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -80,32 +106,32 @@ def logistic_h(data: Dataset, y: np.ndarray) -> tuple[float, np.ndarray]:
     Evaluated through logaddexp (the shifted log1p form), so scores of any
     magnitude neither overflow nor lose the small-loss digits.
     """
-    q = data.q
-    t = data.b * y
-    value = float(np.logaddexp(0.0, -t).sum() / q)
-    grad = -(data.b * expit(-t)) / q
-    return value, grad
+    return _logistic_value(data, y), _logistic_grad(data, y)
 
 
 def logistic_smooth_term(data: Dataset) -> SmoothTerm:
     """The loss as a SmoothTerm; its gradient Lipschitz constant is 1/(4q)."""
     return SmoothTerm(
-        eval=lambda y: logistic_h(data, y)[0],
-        grad=lambda y: logistic_h(data, y)[1],
+        eval=lambda y: _logistic_value(data, y),
+        grad=lambda y: _logistic_grad(data, y),
         lipschitz_const=1.0 / (4.0 * data.q),
     )
 
 
-def phi_map(data: Dataset) -> NonlinearMap:
-    """Score map packaged with its block Jacobian actions."""
-
-    def eval_(x: BlockVector) -> np.ndarray:
-        return phi_eval(data, x.blocks[0], x.blocks[1], x.blocks[2][0])
-
-    def jac(i: int, x: BlockVector, w: np.ndarray) -> np.ndarray:
-        return phi_jac_block_apply(data, i, x.blocks[0], w)
-
-    return NonlinearMap(eval=eval_, jac_block_apply=jac, out_dim=data.q)
+def _bregman_constant(
+    na2: np.ndarray,
+    s: np.ndarray,
+    x3: float,
+    y: np.ndarray,
+    w: np.ndarray,
+    beta: float,
+) -> float:
+    """:func:`bregman_constant_x1` given na2 = ||a_i||^2 and s = A^T x2."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    c = s + float(np.asarray(x3).reshape(-1)[0])
+    caps = np.maximum(np.abs(w - beta * y) + beta * np.abs(c), 3.0 * beta * na2)
+    return max(float(np.sum(2.0 * na2 * caps)), _CONST_FLOOR)
 
 
 def bregman_constant_x1(
@@ -122,12 +148,80 @@ def bregman_constant_x1(
     beta |<a_i,x2> + x3|, 3 beta ||a_i||^2); the quartic kernel's Hessian
     dominates the block Hessian at this scale for every block value.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    na2 = data.column_norms**2
-    c = data.A.T @ x2 + float(np.asarray(x3).reshape(-1)[0])
-    caps = np.maximum(np.abs(w - beta * y) + beta * np.abs(c), 3.0 * beta * na2)
-    return max(float(np.sum(2.0 * na2 * caps)), _CONST_FLOOR)
+    return _bregman_constant(data.column_norms**2, data.A.T @ x2, x3, y, w, beta)
+
+
+def _fitting(
+    data: Dataset,
+    u: np.ndarray,
+    s: np.ndarray,
+    x1: np.ndarray,
+    x2: np.ndarray,
+    x3: float,
+    lam1: float,
+    lam2: float,
+) -> float:
+    """:func:`fitting_error` given u = A^T x1 and s = A^T x2."""
+    value = _logistic_value(data, _scores(u, s, x3))
+    return value + lam1 * float(np.abs(x1).sum()) + lam2 * float(np.abs(x2).sum())
+
+
+class _Product:
+    """A^T v for the last block v it was asked about.
+
+    The key is a copy of that block, compared by contents: an O(d) test
+    against an O(dq) product. A block changed in place therefore never
+    reads a stale product, and one holding NaN never compares equal, so
+    it always gets a fresh one.
+    """
+
+    __slots__ = ("data", "key", "value")
+
+    def __init__(self, data: Dataset):
+        self.data = data
+        self.key = np.empty(0)
+        self.value = np.empty(0)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        if not np.array_equal(v, self.key):
+            self.value = self.data.A.T @ v
+            # Every caller gets this same array; none may write to it.
+            self.value.setflags(write=False)
+            self.key = v.copy()
+        return self.value
+
+
+class _ScoreState:
+    """The score products of the iterate the solver is at.
+
+    Holds u = A^T x1, s = A^T x2 (each formed once per change of its
+    block) and the squared column norms na2; the score map, its block
+    Jacobians, block 0's constant and the fitting error all read from it
+    through the same closed forms as the public functions.
+    """
+
+    def __init__(self, data: Dataset):
+        self.data = data
+        self.u = _Product(data)
+        self.s = _Product(data)
+        self.na2 = data.column_norms**2
+
+    def phi(self, x: BlockVector) -> np.ndarray:
+        return _scores(self.u(x.blocks[0]), self.s(x.blocks[1]), x.blocks[2][0])
+
+    def jac(self, i: int, x: BlockVector, w: np.ndarray) -> np.ndarray:
+        return _jac_block_apply(self.data, i, self.u(x.blocks[0]) if i == 0 else None, w)
+
+    def const_block0(self, spec, x, y, w, beta) -> float:
+        return _bregman_constant(self.na2, self.s(x.blocks[1]), x.blocks[2][0], y, w, beta)
+
+    def fitting(self, x: BlockVector, lam1: float, lam2: float) -> float:
+        x1, x2 = x.blocks[0], x.blocks[1]
+        return _fitting(self.data, self.u(x1), self.s(x2), x1, x2, x.blocks[2][0], lam1, lam2)
+
+    def phi_map(self) -> NonlinearMap:
+        """Score map packaged with its block Jacobian actions."""
+        return NonlinearMap(eval=self.phi, jac_block_apply=self.jac, out_dim=self.data.q)
 
 
 def l1_quartic_solve(c_lin: np.ndarray, lam: float, ell: float) -> np.ndarray:
@@ -218,8 +312,7 @@ def fitting_error(
     lam2: float,
 ) -> float:
     """Penalized loss of the classifier itself (no splitting variable)."""
-    value, _ = logistic_h(data, phi_eval(data, x1, x2, x3))
-    return value + lam1 * float(np.abs(x1).sum()) + lam2 * float(np.abs(x2).sum())
+    return _fitting(data, data.A.T @ x1, data.A.T @ x2, x1, x2, x3, lam1, lam2)
 
 
 def default_beta(q: int) -> float:
@@ -237,11 +330,10 @@ class LogisticSetup:
     lam1: float
     lam2: float
     kappa1: float
+    scores: _ScoreState = field(repr=False, compare=False)
 
     def fitting(self, x: BlockVector) -> float:
-        return fitting_error(
-            self.data, x.blocks[0], x.blocks[1], x.blocks[2][0], self.lam1, self.lam2
-        )
+        return self.scores.fitting(x, self.lam1, self.lam2)
 
 
 def build_problem(
@@ -257,14 +349,12 @@ def build_problem(
     if kappa1 < 1.0:
         raise ValueError("kappa1 must be >= 1")
     q = data.q
-    col_sq_sum = float(np.sum(data.column_norms**2))
+    scores = _ScoreState(data)
+    col_sq_sum = float(np.sum(scores.na2))
 
     def solve_block0(sub: BlockSubproblem) -> np.ndarray:
         c_lin = sub.grad - sub.coeff * sub.kernel.grad(sub.z_i)
         return l1_quartic_solve(c_lin, lam1, sub.coeff)
-
-    def const_block0(spec, x, y, w, beta):
-        return bregman_constant_x1(data, x.blocks[1], x.blocks[2][0], y, w, beta)
 
     gs = (
         l1_nonsmooth(lam1, custom_solver=solve_block0),
@@ -275,7 +365,7 @@ def build_problem(
         m=3,
         gs=gs,
         h=logistic_smooth_term(data),
-        phi=phi_map(data),
+        phi=scores.phi_map(),
         B=scaled_identity_map(-1.0, q),
         lower_bound_hint=0.0,
     )
@@ -283,7 +373,7 @@ def build_problem(
         SurrogateSpec(
             kind=SurrogateKind.BREGMAN,
             kappa=kappa1,
-            smoothness_const=const_block0,
+            smoothness_const=scores.const_block0,
             kernel=quartic_kernel(),
         ),
         SurrogateSpec(
@@ -298,7 +388,13 @@ def build_problem(
         ),
     )
     return LogisticSetup(
-        data=data, spec=spec, surrogates=surrogates, lam1=lam1, lam2=lam2, kappa1=kappa1
+        data=data,
+        spec=spec,
+        surrogates=surrogates,
+        lam1=lam1,
+        lam2=lam2,
+        kappa1=kappa1,
+        scores=scores,
     )
 
 

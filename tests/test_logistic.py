@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from madmm.logistic import (
     x2_update,
     x3_update,
 )
-from madmm.model import BlockVector, smooth_part_block_grad, smooth_part_value
+from madmm.model import BlockVector, NonlinearMap, smooth_part_block_grad, smooth_part_value
 from madmm.solver import SolverConfig, check_beta_condition, dual_update, run, y_update
 from madmm.surrogates import (
     bregman_divergence,
@@ -456,3 +457,141 @@ def test_normalized_real_shape_smoke():
     np.testing.assert_allclose(data.column_norms, np.ones(3), rtol=1e-12)
     setup = build_problem(data, 0.01, 0.01)
     assert setup.spec.phi.out_dim == 3
+
+
+# ---------------------------------------------------------------------------
+# The setup's score state against the public closed forms.
+# ---------------------------------------------------------------------------
+
+
+def _count_products(data):
+    """Give ``data`` a view of A that counts matrix products; returns the count."""
+    count = [0]
+
+    class CountingMatrix(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and method == "__call__":
+                count[0] += 1
+            plain = (np.asarray(v) if isinstance(v, CountingMatrix) else v for v in inputs)
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    object.__setattr__(data, "A", data.A.view(CountingMatrix))
+    return count
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+def _assert_cached_map_matches_reference(setup, x, y, w, beta):
+    data = setup.data
+    x1, x2, x3 = x.blocks[0], x.blocks[1], x.blocks[2][0]
+    assert _bits(setup.spec.phi.eval(x)) == _bits(phi_eval(data, x1, x2, x3))
+    v = w + beta * y
+    for i in range(3):
+        got = setup.spec.phi.jac_block_apply(i, x, v)
+        assert _bits(got) == _bits(phi_jac_block_apply(data, i, x1, v))
+    const = setup.surrogates[0].smoothness_const(setup.spec, x, y, w, beta)
+    assert _bits(const) == _bits(bregman_constant_x1(data, x2, x3, y, w, beta))
+    assert _bits(setup.fitting(x)) == _bits(fitting_error(data, x1, x2, x3, setup.lam1, setup.lam2))
+
+
+def test_score_state_matches_public_closed_forms_bit_for_bit():
+    data = synthetic_generate(40, 15, make_rng(4))
+    setup = build_problem(data, 0.01, 0.02)
+    beta = default_beta(data.q)
+    x, y, w = initial_state(data, seed=2)
+    w = make_rng(9).standard_normal(data.q)
+    count = _count_products(data)
+
+    # A fresh iterate; asking again for its scores, block 0's constant or
+    # its fit forms no further product.
+    _assert_cached_map_matches_reference(setup, x, y, w, beta)
+    before = count[0]
+    setup.spec.phi.eval(x)
+    setup.surrogates[0].smoothness_const(setup.spec, x, y, w, beta)
+    setup.fitting(x)
+    assert count[0] == before
+
+    # Blocks of the same BlockVector changed in place after a cached call.
+    x.blocks[0][3] += 0.5
+    _assert_cached_map_matches_reference(setup, x, y, w, beta)
+    x.blocks[1][:] *= -2.0
+    _assert_cached_map_matches_reference(setup, x, y, w, beta)
+
+    # A block holding NaN never matches its held copy, so every call forms
+    # a fresh product; a finite value written back is not read as stale.
+    for i in (0, 1):
+        x.blocks[i][1] = np.nan
+        with np.errstate(invalid="ignore"):
+            _assert_cached_map_matches_reference(setup, x, y, w, beta)
+        before = count[0]
+        setup.spec.phi.eval(x)
+        assert count[0] == before + 1
+        x.blocks[i][1] = 0.25
+        _assert_cached_map_matches_reference(setup, x, y, w, beta)
+
+
+def _uncached_setup(setup):
+    """The same problem with phi and block 0's constant on the public functions."""
+    data = setup.data
+    phi = NonlinearMap(
+        eval=lambda x: phi_eval(data, x.blocks[0], x.blocks[1], x.blocks[2][0]),
+        jac_block_apply=lambda i, x, w: phi_jac_block_apply(data, i, x.blocks[0], w),
+        out_dim=data.q,
+    )
+    block0 = dataclasses.replace(
+        setup.surrogates[0],
+        smoothness_const=lambda spec, x, y, w, beta: bregman_constant_x1(
+            data, x.blocks[1], x.blocks[2][0], y, w, beta
+        ),
+    )
+    return dataclasses.replace(
+        setup,
+        spec=dataclasses.replace(setup.spec, phi=phi),
+        surrogates=(block0, *setup.surrogates[1:]),
+    )
+
+
+@pytest.mark.parametrize("diagnostics", ["off", "full_lyapunov"])
+def test_score_state_leaves_a_run_bit_identical(diagnostics):
+    data = synthetic_generate(1000, 100, make_rng(1))
+    setup = build_problem(data, 0.001, 0.1)
+    reference = _uncached_setup(setup)
+    x0, y0, w0 = initial_state(data, seed=1)
+    config = SolverConfig(
+        beta=default_beta(data.q), max_outer_iters=300, diagnostics_level=diagnostics
+    )
+
+    def reference_fit(x):
+        return fitting_error(data, x.blocks[0], x.blocks[1], x.blocks[2][0], 0.001, 0.1)
+
+    runs = [
+        run(setup.spec, setup.surrogates, x0, y0, w0, config, fit_fn=setup.fitting),
+        run(reference.spec, reference.surrogates, x0, y0, w0, config, fit_fn=reference_fit),
+    ]
+
+    def time_masked(res):
+        rows = [dataclasses.replace(rec, t_sec=0.0) for rec in res.trace]
+        return repr([dataclasses.astuple(r) for r in rows]), _bits(res.x.concat()), _bits(res.w)
+
+    assert len(runs[0].trace) == 300
+    assert time_masked(runs[0]) == time_masked(runs[1])
+    assert runs[0].violations == runs[1].violations
+
+
+@pytest.mark.parametrize("diagnostics", ["off", "full_lyapunov"])
+def test_run_forms_at_most_seven_products_per_iteration(diagnostics):
+    # Without the score state an iteration here forms 17.2 (off) and 19.2
+    # (full_lyapunov) d-by-q products.
+    data = synthetic_generate(1000, 100, make_rng(1))
+    count = _count_products(data)
+    setup = build_problem(data, 0.001, 0.1)
+    x0, y0, w0 = initial_state(data, seed=1)
+    config = SolverConfig(
+        beta=default_beta(data.q), max_outer_iters=300, diagnostics_level=diagnostics
+    )
+    count[0] = 0
+    res = run(setup.spec, setup.surrogates, x0, y0, w0, config, fit_fn=setup.fitting)
+    assert res.iterations == 300
+    assert count[0] / 300 <= 7.0
