@@ -7,172 +7,4 @@ and a benchmark application (l1-regularized quadratic-classifier
 logistic regression).
 """
 
-from .data import (
-    DataError,
-    Dataset,
-    libsvm_parse,
-    libsvm_serialize,
-    make_rng,
-    normalize_columns,
-    synthetic_generate,
-)
-from .logistic import (
-    LogisticSetup,
-    bregman_constant_x1,
-    build_problem,
-    default_beta,
-    fitting_error,
-    initial_state,
-    l1_quartic_solve,
-    logistic_h,
-    logistic_smooth_term,
-    phi_eval,
-    phi_jac_block_apply,
-    x1_update,
-    x2_update,
-    x3_update,
-)
-from .model import (
-    BlockNonsmooth,
-    BlockSmoothTerm,
-    BlockVector,
-    DomainError,
-    LinearMap,
-    NonlinearMap,
-    ProblemSpec,
-    SmoothTerm,
-    callable_map,
-    check_adjoint,
-    dense_map,
-    eval_augmented_lagrangian,
-    eval_feasibility,
-    l1_nonsmooth,
-    scaled_identity_map,
-    smooth_part_block_grad,
-    smooth_part_value,
-    soft_threshold,
-    zero_nonsmooth,
-)
-from .proxlinear import (
-    CompositeModel,
-    ProxLinearConfig,
-    ProxLinearResult,
-    apg_solve,
-    default_tau,
-    logistic_composite_model,
-    pack_blocks,
-    prox_linear_step,
-    run_proxlinear,
-    unpack_blocks,
-)
-from .solver import (
-    Residuals,
-    SolverConfig,
-    SolverError,
-    SolverResult,
-    check_beta_condition,
-    compute_residuals,
-    dual_update,
-    lyapunov_coeff,
-    lyapunov_value,
-    run,
-    y_update,
-)
-from .surrogates import (
-    BlockSubproblem,
-    BlockUpdateResult,
-    BregmanKernel,
-    SurrogateError,
-    SurrogateKind,
-    SurrogateSpec,
-    bregman_divergence,
-    mm_block_update,
-    quadratic_kernel,
-    quartic_kernel,
-    surrogate_value,
-    verify_surrogate_conditions,
-)
-from .trace import CSV_HEADER, TraceRecord, read_trace, records_equal_ignoring_time, write_trace
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlockNonsmooth",
-    "BlockSmoothTerm",
-    "BlockSubproblem",
-    "BlockUpdateResult",
-    "BlockVector",
-    "BregmanKernel",
-    "CompositeModel",
-    "CSV_HEADER",
-    "DataError",
-    "Dataset",
-    "DomainError",
-    "LinearMap",
-    "LogisticSetup",
-    "NonlinearMap",
-    "ProblemSpec",
-    "ProxLinearConfig",
-    "ProxLinearResult",
-    "Residuals",
-    "SmoothTerm",
-    "SolverConfig",
-    "SolverError",
-    "SolverResult",
-    "SurrogateError",
-    "SurrogateKind",
-    "SurrogateSpec",
-    "TraceRecord",
-    "apg_solve",
-    "bregman_constant_x1",
-    "bregman_divergence",
-    "build_problem",
-    "callable_map",
-    "check_adjoint",
-    "check_beta_condition",
-    "compute_residuals",
-    "default_beta",
-    "default_tau",
-    "dense_map",
-    "dual_update",
-    "eval_augmented_lagrangian",
-    "eval_feasibility",
-    "fitting_error",
-    "initial_state",
-    "l1_nonsmooth",
-    "l1_quartic_solve",
-    "libsvm_parse",
-    "libsvm_serialize",
-    "logistic_composite_model",
-    "logistic_h",
-    "logistic_smooth_term",
-    "lyapunov_coeff",
-    "lyapunov_value",
-    "make_rng",
-    "mm_block_update",
-    "normalize_columns",
-    "pack_blocks",
-    "phi_eval",
-    "phi_jac_block_apply",
-    "prox_linear_step",
-    "quadratic_kernel",
-    "quartic_kernel",
-    "read_trace",
-    "records_equal_ignoring_time",
-    "run",
-    "run_proxlinear",
-    "scaled_identity_map",
-    "smooth_part_block_grad",
-    "smooth_part_value",
-    "soft_threshold",
-    "surrogate_value",
-    "synthetic_generate",
-    "unpack_blocks",
-    "verify_surrogate_conditions",
-    "write_trace",
-    "x1_update",
-    "x2_update",
-    "x3_update",
-    "y_update",
-    "zero_nonsmooth",
-]

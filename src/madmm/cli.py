@@ -10,19 +10,20 @@ failure, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
+import math
 import sys
 from typing import Optional
 
 import numpy as np
 
 from .data import DataError, Dataset, libsvm_parse, make_rng, normalize_columns, synthetic_generate
-from .logistic import build_problem, default_beta, fitting_error, initial_state
+from .logistic import LogisticSetup, build_problem, default_beta, fitting_error, initial_state
 from .model import BlockVector
 from .proxlinear import ProxLinearConfig, pack_blocks, run_proxlinear, unpack_blocks
 from .solver import SolverConfig, SolverError, check_beta_condition, run
+from .surrogates import SurrogateError
 from .trace import write_trace
 
 logger = logging.getLogger(__name__)
@@ -40,6 +41,9 @@ BUDGET_DEFAULTS = {
 
 # Iteration cap when only the wall clock limits a run.
 _UNCAPPED = 10**9
+
+# Float flags that must be finite (a NaN slips past every ordering test).
+_FINITE_FLAGS = ("lambda1", "lambda2", "beta", "delta_tilde", "kappa1", "budget", "epsilon")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -65,7 +69,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", metavar="PATH", default=None, help="write the JSON summary here instead of stdout")
     p.add_argument("--diagnostics", choices=("off", "decrease_checks", "full_lyapunov"), default="off")
     p.add_argument("--strict", action="store_true", help="escalate diagnostics violations and config warnings to errors")
-    p.add_argument("--parallel", action="store_true", help="compare mode: run both solvers concurrently (timing caveat: shared machine)")
     return p
 
 
@@ -112,26 +115,10 @@ class ConfigError(Exception):
     """Invalid flag combination or rejected solver configuration."""
 
 
-def _madmm_job(
-    data: Dataset,
-    lam1: float,
-    lam2: float,
-    kappa1: float,
-    cfg: SolverConfig,
-    x0_blocks: list,
-    y0: np.ndarray,
-    w0: np.ndarray,
+def _run_madmm(
+    setup: LogisticSetup, x0: BlockVector, y0: np.ndarray, w0: np.ndarray, cfg: SolverConfig
 ) -> tuple[dict, list]:
-    setup = build_problem(data, lam1, lam2, kappa1)
-    res = run(
-        setup.spec,
-        setup.surrogates,
-        BlockVector(x0_blocks),
-        y0,
-        w0,
-        cfg,
-        fit_fn=setup.fitting,
-    )
+    res = run(setup.spec, setup.surrogates, x0, y0, w0, cfg, fit_fn=setup.fitting)
     summary = {
         "solver": "madmm",
         "fit": setup.fitting(res.x),
@@ -153,12 +140,8 @@ def _madmm_job(
     return summary, res.trace
 
 
-def _proxlinear_job(
-    data: Dataset,
-    lam1: float,
-    lam2: float,
-    cfg: ProxLinearConfig,
-    x0: np.ndarray,
+def _run_proxlinear(
+    data: Dataset, lam1: float, lam2: float, cfg: ProxLinearConfig, x0: np.ndarray
 ) -> tuple[dict, list]:
     res = run_proxlinear(data, lam1, lam2, cfg, x0=x0)
     x1, x2, x3 = unpack_blocks(res.x, data.d)
@@ -176,21 +159,6 @@ def _proxlinear_job(
     return summary, res.trace
 
 
-def emit_summary(
-    mode: str,
-    config_echo: dict,
-    data_info: dict,
-    run_summaries: dict,
-) -> dict:
-    """Assemble the JSON document written at the end of a run."""
-    return {
-        "mode": mode,
-        "config": config_echo,
-        "data": data_info,
-        "runs": run_summaries,
-    }
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_arg_parser()
@@ -203,6 +171,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
 
     try:
+        for flag in _FINITE_FLAGS:
+            value = getattr(args, flag)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {value}")
         if args.lambda1 < 0 or args.lambda2 < 0:
             raise ConfigError("--lambda1/--lambda2 must be nonnegative")
         budget, epsilon, max_iters = _resolve_budget_epsilon(args, (data.d, data.q))
@@ -228,60 +200,42 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ConfigError("--trace-stride must be >= 1")
         else:
             stride = 1 if data.d * data.q <= 2_000_000 else 25
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+
+        solver_cfg = SolverConfig(
+            beta=beta,
+            delta_tilde=args.delta_tilde,
+            max_outer_iters=max_iters,
+            wall_clock_budget=budget,
+            stop_epsilon=epsilon,
+            diagnostics_level=args.diagnostics,
+            enforce_beta_condition=enforce,
+            strict=args.strict,
+            trace_stride=stride,
+        )
+        prox_cfg = ProxLinearConfig(
+            wall_clock_budget=budget,
+            max_outer_iters=max_iters,
+            stop_epsilon=epsilon,
+            seed=args.seed,
+            trace_stride=stride,
+        )
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     x0, y0, w0 = initial_state(data, args.seed)
-
-    solver_cfg = SolverConfig(
-        beta=beta,
-        delta_tilde=args.delta_tilde,
-        max_outer_iters=max_iters,
-        wall_clock_budget=budget,
-        stop_epsilon=epsilon,
-        diagnostics_level=args.diagnostics,
-        seed=args.seed,
-        enforce_beta_condition=enforce,
-        strict=args.strict,
-        trace_stride=stride,
-    )
-    prox_cfg = ProxLinearConfig(
-        wall_clock_budget=budget,
-        max_outer_iters=max_iters,
-        stop_epsilon=epsilon,
-        seed=args.seed,
-        trace_stride=stride,
-    )
     x0_packed = pack_blocks(x0.blocks[0], x0.blocks[1], x0.blocks[2][0])
-
-    jobs = []
-    if args.mode in ("madmm", "compare"):
-        jobs.append(
-            (
-                "madmm",
-                _madmm_job,
-                (data, args.lambda1, args.lambda2, args.kappa1, solver_cfg, list(x0.blocks), y0, w0),
-            )
-        )
-    if args.mode in ("proxlinear", "compare"):
-        jobs.append(("proxlinear", _proxlinear_job, (data, args.lambda1, args.lambda2, prox_cfg, x0_packed)))
 
     run_summaries: dict = {}
     traces: dict = {}
     try:
-        if args.parallel and len(jobs) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-                futures = {name: pool.submit(fn, *fnargs) for name, fn, fnargs in jobs}
-                for name, fut in futures.items():
-                    run_summaries[name], traces[name] = fut.result()
-        else:
-            for name, fn, fnargs in jobs:
-                run_summaries[name], traces[name] = fn(*fnargs)
-    except SolverError as exc:
+        if args.mode in ("madmm", "compare"):
+            run_summaries["madmm"], traces["madmm"] = _run_madmm(setup, x0, y0, w0, solver_cfg)
+        if args.mode in ("proxlinear", "compare"):
+            run_summaries["proxlinear"], traces["proxlinear"] = _run_proxlinear(
+                data, args.lambda1, args.lambda2, prox_cfg, x0_packed
+            )
+    except (SolverError, SurrogateError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
 
@@ -305,7 +259,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "strict": args.strict,
     }
     data_info = {"source": source, "d": data.d, "q": data.q, "checksum": data.checksum()}
-    doc = emit_summary(args.mode, config_echo, data_info, run_summaries)
+    doc = {"mode": args.mode, "config": config_echo, "data": data_info, "runs": run_summaries}
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.summary is not None:
         with open(args.summary, "w", encoding="utf-8") as fh:

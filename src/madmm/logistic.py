@@ -16,10 +16,6 @@ this in the solver's composite form with m = 3 blocks:
   prox, constant beta * sum_i ||a_i||^2.
 * block 2 (intercept): Lipschitz-gradient surrogate, constant beta * q.
 
-The standalone per-block updates (:func:`x1_update` and friends) expose
-the same closed forms directly for cross-checking against the generic
-machinery.
-
 The setup from :func:`build_problem` reads the products A^T x1 and A^T x2
 from one score state that forms each only when its block changes, so a
 solver iteration costs about 6 d-by-q products. The public functions
@@ -245,62 +241,6 @@ def l1_quartic_solve(c_lin: np.ndarray, lam: float, ell: float) -> np.ndarray:
     root = np.sqrt(1.0 / 27.0 + half * half)
     t_star = float(np.cbrt(half + root) + np.cbrt(half - root))
     return (t_star / mag) * direction
-
-
-def x1_update(
-    data: Dataset,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    x3: float,
-    y: np.ndarray,
-    w: np.ndarray,
-    beta: float,
-    lam1: float,
-    kappa1: float = 1.1,
-) -> np.ndarray:
-    """Closed-form quadratic-weights step (Bregman surrogate, quartic kernel).
-
-    ``kappa1`` inflates the relative-smoothness constant; 1.0 gives the
-    bare majorizer (zero guaranteed-decrease margin), the 1.1 default a
-    positive one.
-    """
-    r = phi_eval(data, x1, x2, x3) - y
-    grad = phi_jac_block_apply(data, 0, x1, w + beta * r)
-    ell = kappa1 * bregman_constant_x1(data, x2, x3, y, w, beta)
-    c_lin = grad - ell * (float(x1 @ x1) + 1.0) * x1
-    return l1_quartic_solve(c_lin, lam1, ell)
-
-
-def x2_update(
-    data: Dataset,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    x3: float,
-    y: np.ndarray,
-    w: np.ndarray,
-    beta: float,
-    lam2: float,
-) -> np.ndarray:
-    """Soft-threshold step on the linear weights (x1 already updated)."""
-    r = phi_eval(data, x1, x2, x3) - y
-    grad = phi_jac_block_apply(data, 1, x1, w + beta * r)
-    ell = beta * float(np.sum(data.column_norms**2))
-    return soft_threshold(x2 - grad / ell, lam2 / ell)
-
-
-def x3_update(
-    data: Dataset,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    x3: float,
-    y: np.ndarray,
-    w: np.ndarray,
-    beta: float,
-) -> float:
-    """Gradient step on the intercept (x1, x2 already updated)."""
-    r = phi_eval(data, x1, x2, x3) - y
-    grad = float(np.sum(w + beta * r))
-    return float(x3) - grad / (beta * data.q)
 
 
 def fitting_error(

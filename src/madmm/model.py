@@ -7,8 +7,8 @@ A composite problem
 
 is described by a :class:`ProblemSpec`. ``x`` is split into ``m`` blocks,
 ``phi`` is a smooth nonlinear map with block Jacobian actions, ``B`` is a
-linear map with known (or estimated) spectral constants, ``h`` has an
-L_h-Lipschitz gradient, and each ``g_i`` is proper lower semicontinuous.
+linear map with known spectral constants, ``h`` has an L_h-Lipschitz
+gradient, and each ``g_i`` is proper lower semicontinuous.
 
 The augmented Lagrangian with penalty ``beta`` is
 
@@ -164,38 +164,6 @@ def _power_iteration(
     return lam
 
 
-def callable_map(
-    apply: Callable[[np.ndarray], np.ndarray],
-    adjoint_apply: Callable[[np.ndarray], np.ndarray],
-    in_dim: int,
-    out_dim: int,
-    seed: int = 0,
-) -> LinearMap:
-    """Wrap matrix-free actions; spectral constants estimated numerically.
-
-    Power iteration (200 iterations, tolerance 1e-8) estimates the extreme
-    eigenvalues: the largest of B*B directly, and the smallest of B*B and
-    BB* through the shifted operators mu*I - B*B / mu*I - BB* with
-    mu slightly above the largest eigenvalue.
-    """
-    rng = make_rng(seed)
-    btb = lambda v: adjoint_apply(apply(v))
-    bbt = lambda v: apply(adjoint_apply(v))
-    lam_max = _power_iteration(btb, in_dim, rng)
-    mu = lam_max * 1.01 + 1e-12
-    lam_min_BtB = max(mu - _power_iteration(lambda v: mu * v - btb(v), in_dim, rng), 0.0)
-    sigma_B = max(mu - _power_iteration(lambda v: mu * v - bbt(v), out_dim, rng), 0.0)
-    return LinearMap(
-        apply=apply,
-        adjoint_apply=adjoint_apply,
-        in_dim=in_dim,
-        out_dim=out_dim,
-        lambda_min_BtB=lam_min_BtB,
-        sigma_B=sigma_B,
-        operator_norm=float(np.sqrt(lam_max)),
-    )
-
-
 def check_adjoint(B: LinearMap, trials: int = 100, seed: int = 0) -> bool:
     """Randomized check that <Bu, v> == <u, B*v> within 1e-10 slack."""
     if trials < 1:
@@ -222,7 +190,6 @@ class NonlinearMap:
     eval: Callable[[BlockVector], np.ndarray]
     jac_block_apply: Callable[[int, BlockVector, np.ndarray], np.ndarray]
     out_dim: int
-    jac_norm_bound: Optional[Callable[[BlockVector], float]] = None
 
 
 @dataclass(frozen=True)

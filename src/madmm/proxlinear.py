@@ -25,8 +25,8 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, make_rng
-from .logistic import fitting_error, initial_state
-from .model import _power_iteration
+from .logistic import _jac_block_apply, _scores, fitting_error, initial_state
+from .model import _power_iteration, soft_threshold
 from .solver import SolverError
 from .trace import TraceRecord
 
@@ -206,8 +206,7 @@ def logistic_composite_model(data: Dataset, lam1: float, lam2: float) -> Composi
 
     def map_eval(xi: np.ndarray) -> np.ndarray:
         x1, x2, x3 = unpack_blocks(xi, d)
-        u = A.T @ x1
-        return b * (u * u + A.T @ x2 + x3)
+        return b * _scores(A.T @ x1, A.T @ x2, x3)
 
     def jac_at(xi: np.ndarray):
         u = A.T @ xi[:d]
@@ -217,7 +216,7 @@ def logistic_composite_model(data: Dataset, lam1: float, lam2: float) -> Composi
 
         def j_adjoint(s: np.ndarray) -> np.ndarray:
             bs = b * s
-            return np.concatenate([2.0 * (A @ (bs * u)), A @ bs, [float(bs.sum())]])
+            return np.concatenate([_jac_block_apply(data, i, u, bs) for i in range(3)])
 
         return j_apply, j_adjoint
 
@@ -232,8 +231,8 @@ def logistic_composite_model(data: Dataset, lam1: float, lam2: float) -> Composi
 
     def nonsmooth_prox(v: np.ndarray, t: float) -> np.ndarray:
         out = v.copy()
-        out[:d] = np.sign(v[:d]) * np.maximum(np.abs(v[:d]) - lam1 * t, 0.0)
-        out[d : 2 * d] = np.sign(v[d : 2 * d]) * np.maximum(np.abs(v[d : 2 * d]) - lam2 * t, 0.0)
+        out[:d] = soft_threshold(v[:d], lam1 * t)
+        out[d : 2 * d] = soft_threshold(v[d : 2 * d], lam2 * t)
         return out
 
     return CompositeModel(

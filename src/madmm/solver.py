@@ -60,7 +60,6 @@ class SolverConfig:
     wall_clock_budget: Optional[float] = None
     stop_epsilon: float = 0.0
     diagnostics_level: str = "decrease_checks"
-    seed: int = 0
     enforce_beta_condition: bool = True
     strict: bool = False
     trace_stride: int = 1

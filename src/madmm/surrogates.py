@@ -2,12 +2,11 @@
 
 A surrogate for block ``i`` majorizes the smooth-in-x part of the augmented
 Lagrangian as a function of that block, touching it at the current iterate.
-Four families are supported:
+Three families are supported:
 
 * ``PROXIMAL``          u(v) = smooth(v) + kappa * D(v, z_i)
-* ``QUADRATIC``         u(v) = smooth(z) + <grad, v - z_i> + (kappa*L/2)|v - z_i|^2
-  (scalar curvature; coincides with LIPSCHITZ_GRADIENT here)
-* ``LIPSCHITZ_GRADIENT`` same quadratic form with L the gradient Lipschitz bound
+* ``LIPSCHITZ_GRADIENT`` u(v) = smooth(z) + <grad, v - z_i> + (kappa*L/2)|v - z_i|^2
+  with L the gradient Lipschitz bound
 * ``BREGMAN``           u(v) = smooth(z) + <grad, v - z_i> + kappa*L*D(v, z_i)
   with L a relative-smoothness constant for the kernel's geometry
 
@@ -55,7 +54,6 @@ class SurrogateError(Exception):
 
 class SurrogateKind(enum.Enum):
     PROXIMAL = "proximal"
-    QUADRATIC = "quadratic"
     LIPSCHITZ_GRADIENT = "lipschitz_gradient"
     BREGMAN = "bregman"
 
@@ -267,7 +265,7 @@ def mm_block_update(
     L = surrogate.const_at(spec, x, y, w, beta)
     r = surrogate.anchor_residual
 
-    if kind in (SurrogateKind.QUADRATIC, SurrogateKind.LIPSCHITZ_GRADIENT):
+    if kind is SurrogateKind.LIPSCHITZ_GRADIENT:
         grad = smooth_part_block_grad(spec, i, x, y, w, beta, r)
         coeff = surrogate.kappa * L
         if g.prox is not None:
@@ -478,10 +476,7 @@ def verify_surrogate_conditions(
         diag.violations.append(f"error bound: e={err:.3e} < eta*D={eta * D:.3e}")
 
     g = spec.gs[i]
-    if (
-        g.is_convex
-        and surrogate.kind in (SurrogateKind.QUADRATIC, SurrogateKind.LIPSCHITZ_GRADIENT)
-    ):
+    if g.is_convex and surrogate.kind is SurrogateKind.LIPSCHITZ_GRADIENT:
         sigma = surrogate.kappa * L
         ok = True
         for _ in range(20):

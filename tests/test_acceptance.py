@@ -57,7 +57,6 @@ def _madmm_fit(data, lam1, lam2, seed, budget=None, max_iters=10**9, stride=10_0
         wall_clock_budget=budget,
         stop_epsilon=0.0,
         diagnostics_level="off",
-        seed=seed,
         trace_stride=stride,
     )
     res = run(setup.spec, setup.surrogates, x0, y0, w0, cfg, fit_fn=setup.fitting)
@@ -101,7 +100,6 @@ def inequality_runs():
             max_outer_iters=501,
             stop_epsilon=0.0,
             diagnostics_level="full_lyapunov",
-            seed=seed,
             trace_stride=1,
         )
         res = run(setup.spec, setup.surrogates, x0, y0, w0, cfg, fit_fn=setup.fitting)

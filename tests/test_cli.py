@@ -1,10 +1,18 @@
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import madmm.cli
 from madmm.cli import BUDGET_DEFAULTS, ConfigError, _resolve_budget_epsilon, main
 from madmm.trace import read_trace, records_equal_ignoring_time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _run(args, capsys):
@@ -62,18 +70,91 @@ def test_exit_code_3_on_data_errors(capsys):
     assert code == 3
 
 
-def test_exit_code_2_on_config_errors(capsys):
-    base = ["--mode", "madmm", "--synthetic", "30x6"]
-    code, _, err = _run(base, capsys)  # unknown size, no budget, no cap
-    assert code == 2 and "config error" in err
-    code, _, _ = _run(base + ["--max-iters", "3", "--lambda1", "-0.1"], capsys)
-    assert code == 2
-    code, _, _ = _run(base + ["--budget", "-2"], capsys)
-    assert code == 2
-    code, _, _ = _run(base + ["--max-iters", "3", "--beta", "-1"], capsys)
-    assert code == 2
-    code, _, _ = _run(base + ["--max-iters", "3", "--trace-stride", "0"], capsys)
-    assert code == 2
+# Each case must exit 2 before either solver starts.
+CONFIG_ERROR_CASES = [
+    [],  # unknown size, no budget, no cap
+    ["--max-iters", "3", "--lambda1", "-0.1"],
+    ["--budget", "-2"],
+    ["--max-iters", "3", "--beta", "-1"],
+    ["--max-iters", "3", "--trace-stride", "0"],
+    ["--max-iters", "3", "--delta-tilde", "1.0"],
+    # A NaN passes every ordering test, so each float flag is checked for it.
+    ["--max-iters", "3", "--lambda1", "nan"],
+    ["--max-iters", "3", "--lambda2", "inf"],
+    ["--max-iters", "3", "--beta", "nan"],
+    ["--budget", "nan"],
+    ["--max-iters", "3", "--epsilon", "nan"],
+    ["--max-iters", "3", "--delta-tilde", "nan"],
+    ["--max-iters", "3", "--kappa1", "nan"],
+]
+
+
+def test_exit_code_2_on_config_errors(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a rejected configuration started a run")
+
+    monkeypatch.setattr(madmm.cli, "run", no_run)
+    monkeypatch.setattr(madmm.cli, "run_proxlinear", no_run)
+    base = ["--mode", "compare", "--synthetic", "30x6"]
+    for extra in CONFIG_ERROR_CASES:
+        code, out, err = _run(base + extra, capsys)
+        assert code == 2 and "config error" in err, (extra, err)
+        assert out == "", extra
+
+
+def test_exit_code_1_on_surrogate_errors(capsys):
+    # A finite penalty weight so large that block 0's constant overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = _run(
+            ["--mode", "madmm", "--synthetic", "20x5", "--max-iters", "3", "--beta", "1e308"],
+            capsys,
+        )
+    assert code == 1 and "solver error" in err and "surrogate constant" in err, err
+
+
+@pytest.mark.parametrize("mode", ["madmm", "compare"])
+def test_one_build_problem_per_invocation(mode, tmp_path, capsys, monkeypatch):
+    calls = []
+    build_problem = madmm.cli.build_problem
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_problem(*args, **kwargs)
+
+    monkeypatch.setattr(madmm.cli, "build_problem", counted)
+    args = ["--mode", mode, "--synthetic", "20x5", "--max-iters", "3"]
+    code, _, _ = _run(args + ["--summary", str(tmp_path / "s.json")], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_benchmark_tracer_hooks_still_resolve():
+    # perfbench/tracer.py patches madmm's functions by name; a refactor that
+    # renames or drops one breaks the benchmark's traced runs.
+    script = f"""
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracer", {str(ROOT / "perfbench" / "tracer.py")!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.install("t")
+import madmm.cli
+sys.exit(madmm.cli.main([
+    "--mode", "compare", "--synthetic", "20x5", "--max-iters", "3",
+    "--diagnostics", "full_lyapunov",
+]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(proc.stdout)
+    assert set(doc["runs"]) == {"madmm", "proxlinear"}
+    assert doc["runs"]["madmm"]["iterations"] == 3
 
 
 def test_strict_escalates_penalty_condition(capsys, caplog):
@@ -206,23 +287,6 @@ def test_trace_stride_thins_records(tmp_path, capsys):
     )
     assert code == 0
     assert [r.k for r in read_trace(f"{prefix}_madmm.csv")] == [4, 8, 10]
-
-
-def test_parallel_compare(tmp_path, capsys):
-    summary = tmp_path / "par.json"
-    code, _, _ = _run(
-        [
-            "--mode", "compare",
-            "--synthetic", "25x5",
-            "--max-iters", "5",
-            "--parallel",
-            "--summary", str(summary),
-        ],
-        capsys,
-    )
-    assert code == 0
-    doc = json.loads(summary.read_text())
-    assert set(doc["runs"]) == {"madmm", "proxlinear"}
 
 
 def test_libsvm_file_input(tmp_path, capsys):

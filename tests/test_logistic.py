@@ -16,11 +16,14 @@ from madmm.logistic import (
     logistic_smooth_term,
     phi_eval,
     phi_jac_block_apply,
-    x1_update,
-    x2_update,
-    x3_update,
 )
-from madmm.model import BlockVector, NonlinearMap, smooth_part_block_grad, smooth_part_value
+from madmm.model import (
+    BlockVector,
+    NonlinearMap,
+    smooth_part_block_grad,
+    smooth_part_value,
+    soft_threshold,
+)
 from madmm.solver import SolverConfig, check_beta_condition, dual_update, run, y_update
 from madmm.surrogates import (
     bregman_divergence,
@@ -32,6 +35,34 @@ from madmm.surrogates import (
 
 def _toy_data(d=6, q=4, seed=0):
     return synthetic_generate(d, q, make_rng(seed))
+
+
+# Per-block closed forms written out from the public score-map functions:
+# oracles for the generic surrogate machinery that the solver runs.
+
+
+def x1_update(data, x1, x2, x3, y, w, beta, lam1, kappa1=1.1):
+    """Quadratic-weights step: Bregman surrogate over the quartic kernel."""
+    r = phi_eval(data, x1, x2, x3) - y
+    grad = phi_jac_block_apply(data, 0, x1, w + beta * r)
+    ell = kappa1 * bregman_constant_x1(data, x2, x3, y, w, beta)
+    c_lin = grad - ell * (float(x1 @ x1) + 1.0) * x1
+    return l1_quartic_solve(c_lin, lam1, ell)
+
+
+def x2_update(data, x1, x2, x3, y, w, beta, lam2):
+    """Soft-threshold step on the linear weights (x1 already updated)."""
+    r = phi_eval(data, x1, x2, x3) - y
+    grad = phi_jac_block_apply(data, 1, x1, w + beta * r)
+    ell = beta * float(np.sum(data.column_norms**2))
+    return soft_threshold(x2 - grad / ell, lam2 / ell)
+
+
+def x3_update(data, x1, x2, x3, y, w, beta):
+    """Gradient step on the intercept (x1, x2 already updated)."""
+    r = phi_eval(data, x1, x2, x3) - y
+    grad = float(np.sum(w + beta * r))
+    return float(x3) - grad / (beta * data.q)
 
 
 def test_phi_eval_single_sample():

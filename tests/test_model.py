@@ -9,10 +9,10 @@ from madmm.model import (
     BlockSmoothTerm,
     BlockVector,
     DomainError,
+    LinearMap,
     NonlinearMap,
     ProblemSpec,
     SmoothTerm,
-    callable_map,
     check_adjoint,
     dense_map,
     eval_augmented_lagrangian,
@@ -62,35 +62,19 @@ def test_dense_map_constants_match_svd():
     assert wide.sigma_B == pytest.approx(sv[-1] ** 2)
 
 
-def test_callable_map_estimates_spectrum():
-    # Power-iteration estimates are only tight when the spectrum has a
-    # usable gap, so build the matrix from a chosen singular spectrum.
-    rng = make_rng(5)
-    s = np.array([3.0, 2.5, 2.0, 1.5, 1.0, 0.1])
-    U, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    M = U @ np.diag(s) @ V.T
-    B = callable_map(lambda v: M @ v, lambda v: M.T @ v, 6, 6)
-    assert B.operator_norm == pytest.approx(s[0], rel=1e-5)
-    assert B.lambda_min_BtB == pytest.approx(s[-1] ** 2, rel=1e-3)
-    assert B.sigma_B == pytest.approx(s[-1] ** 2, rel=1e-3)
-
-
-def test_callable_map_exact_on_scaled_orthogonal():
-    rng = make_rng(6)
-    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    M = 2.0 * Q
-    B = callable_map(lambda v: M @ v, lambda v: M.T @ v, 5, 5)
-    assert B.operator_norm == pytest.approx(2.0, rel=1e-8)
-    assert B.lambda_min_BtB == pytest.approx(4.0, rel=1e-8)
-    assert B.sigma_B == pytest.approx(4.0, rel=1e-8)
-
-
 def test_check_adjoint_detects_mismatch():
     M = make_rng(1).standard_normal((4, 4))
     good = dense_map(M)
     assert check_adjoint(good)
-    bad = callable_map(lambda v: M @ v, lambda v: M @ v, 4, 4)
+    bad = LinearMap(
+        apply=lambda v: M @ v,
+        adjoint_apply=lambda v: M @ v,
+        in_dim=4,
+        out_dim=4,
+        lambda_min_BtB=good.lambda_min_BtB,
+        sigma_B=good.sigma_B,
+        operator_norm=good.operator_norm,
+    )
     assert not check_adjoint(bad)
 
 

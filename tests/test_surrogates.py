@@ -137,7 +137,7 @@ def test_surrogate_spec_validation():
     with pytest.raises(ValueError):
         SurrogateSpec(SurrogateKind.PROXIMAL)  # no kernel
     with pytest.raises(ValueError):
-        SurrogateSpec(SurrogateKind.QUADRATIC)  # no constant
+        SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT)  # no constant
 
 
 def _single_block_spec(n, shift=None, g=None):
@@ -189,7 +189,7 @@ def test_mm_update_prox_route_matches_scalar_loop_oracle():
     rng = make_rng(17)
     lam = 0.35
     spec = _single_block_spec(6, shift=rng.standard_normal(6), g=l1_nonsmooth(lam))
-    sur = SurrogateSpec(SurrogateKind.QUADRATIC, kappa=1.3, smoothness_const=2.0)
+    sur = SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=1.3, smoothness_const=2.0)
     x = BlockVector([rng.standard_normal(6)])
     y = rng.standard_normal(6)
     w = rng.standard_normal(6)
