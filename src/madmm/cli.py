@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 from typing import Optional
 
@@ -165,12 +166,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+        # Outputs are written after the runs: check their directories first.
+        for path in (args.trace, args.summary):
+            if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigError(f"output path {path!r} is in a missing directory")
         data, source = _load_dataset(args)
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
         for flag in _FINITE_FLAGS:
             value = getattr(args, flag)
             if value is not None and not math.isfinite(value):
@@ -219,6 +221,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             seed=args.seed,
             trace_stride=stride,
         )
+    except (DataError, OSError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -90,7 +90,6 @@ class LinearMap:
     out_dim: int
     lambda_min_BtB: float
     sigma_B: float
-    operator_norm: float
     scale: Optional[float] = None
 
 
@@ -108,7 +107,6 @@ def scaled_identity_map(scale: float, dim: int) -> LinearMap:
         out_dim=dim,
         lambda_min_BtB=s2,
         sigma_B=s2,
-        operator_norm=abs(scale),
         scale=scale,
     )
 
@@ -136,7 +134,6 @@ def dense_map(matrix: np.ndarray) -> LinearMap:
         out_dim=s,
         lambda_min_BtB=lam_min_BtB,
         sigma_B=sigma_B,
-        operator_norm=float(sv[0]) if sv.size else 0.0,
     )
 
 
@@ -328,15 +325,23 @@ def smooth_part_block_grad(
 
 
 def eval_augmented_lagrangian(
-    spec: ProblemSpec, x: BlockVector, y: np.ndarray, w: np.ndarray, beta: float
+    spec: ProblemSpec,
+    x: BlockVector,
+    y: np.ndarray,
+    w: np.ndarray,
+    beta: float,
+    r: Optional[np.ndarray] = None,
 ) -> float:
-    """L_beta(x, y, w); raises DomainError when some g_i(x_i) is infinite."""
+    """L_beta(x, y, w); raises DomainError when some g_i(x_i) is infinite.
+
+    ``r`` is the constraint residual phi(x) + B y when the caller has it.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    total = smooth_part_value(spec, x, y, w, beta) + spec.h.eval(y)
+    nonsmooth = 0.0
     for i, g in enumerate(spec.gs):
         gv = g.eval(x.blocks[i])
         if gv is None:
             raise DomainError(f"iterate outside domain: g_{i} is infinite")
-        total += gv
-    return total
+        nonsmooth += gv
+    return smooth_part_value(spec, x, y, w, beta, r) + spec.h.eval(y) + nonsmooth

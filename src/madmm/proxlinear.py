@@ -22,15 +22,18 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, make_rng
-from .logistic import _jac_block_apply, _scores, fitting_error, initial_state
+from .logistic import _jac_block_apply, _scores, fitting_error, initial_state, logistic_smooth_term
 from .model import _power_iteration, soft_threshold
 from .solver import SolverError
 from .trace import TraceRecord
 
 logger = logging.getLogger(__name__)
+
+# Inflation of the power-iteration estimate of ||J||^2 in the inner step
+# constant: the estimate approaches the largest eigenvalue from below.
+JNORM_SAFETY = 1.02
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,6 @@ class ProxLinearConfig:
     stop_epsilon: float = 0.0
     seed: int = 0
     trace_stride: int = 1
-    safety: float = 1.02
 
     def __post_init__(self) -> None:
         if self.tau is not None and self.tau <= 0:
@@ -87,8 +89,6 @@ class ProxLinearConfig:
             raise ValueError("stop_epsilon must be nonnegative")
         if self.trace_stride < 1:
             raise ValueError("trace_stride must be >= 1")
-        if self.safety < 1.0:
-            raise ValueError("safety must be >= 1")
 
 
 @dataclass
@@ -162,14 +162,14 @@ def prox_linear_step(
 ) -> tuple[np.ndarray, float, int]:
     """One outer step: build the convex model at x_k and solve it inexactly.
 
-    The inner step constant is safety * ||J||^2 * (loss gradient
+    The inner step constant is JNORM_SAFETY * ||J||^2 * (loss gradient
     Lipschitz) + 1/tau with ||J||^2 from power iteration on J*J (seeded
     through ``rng``). Warm-starts the inner solver at x_k.
     """
     anchor = model.map_eval(x_k)
     j_apply, j_adjoint = model.jac_at(x_k)
     jnorm_sq = _power_iteration(lambda v: j_adjoint(j_apply(v)), model.dim, rng)
-    l_sub = config.safety * jnorm_sq * model.outer_grad_lipschitz + 1.0 / tau
+    l_sub = JNORM_SAFETY * jnorm_sq * model.outer_grad_lipschitz + 1.0 / tau
 
     def smooth_eval(xi: np.ndarray) -> float:
         delta = xi - x_k
@@ -201,30 +201,25 @@ def unpack_blocks(xi: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, float
 
 
 def logistic_composite_model(data: Dataset, lam1: float, lam2: float) -> CompositeModel:
-    """Classifier benchmark in composite form (labels folded into the map)."""
-    A, b, d, q = data.A, data.b, data.d, data.q
+    """Classifier benchmark in composite form: the score map inside the
+    block solver's logistic loss, which holds the labels."""
+    A, d = data.A, data.d
+    loss = logistic_smooth_term(data)
 
     def map_eval(xi: np.ndarray) -> np.ndarray:
         x1, x2, x3 = unpack_blocks(xi, d)
-        return b * _scores(A.T @ x1, A.T @ x2, x3)
+        return _scores(A.T @ x1, A.T @ x2, x3)
 
     def jac_at(xi: np.ndarray):
         u = A.T @ xi[:d]
 
         def j_apply(v: np.ndarray) -> np.ndarray:
-            return b * (2.0 * u * (A.T @ v[:d]) + A.T @ v[d : 2 * d] + v[2 * d])
+            return 2.0 * u * (A.T @ v[:d]) + A.T @ v[d : 2 * d] + v[2 * d]
 
         def j_adjoint(s: np.ndarray) -> np.ndarray:
-            bs = b * s
-            return np.concatenate([_jac_block_apply(data, i, u, bs) for i in range(3)])
+            return np.concatenate([_jac_block_apply(data, i, u, s) for i in range(3)])
 
         return j_apply, j_adjoint
-
-    def outer_eval(t: np.ndarray) -> float:
-        return float(np.logaddexp(0.0, -t).sum() / q)
-
-    def outer_grad(t: np.ndarray) -> np.ndarray:
-        return -expit(-t) / q
 
     def nonsmooth_eval(xi: np.ndarray) -> float:
         return lam1 * float(np.abs(xi[:d]).sum()) + lam2 * float(np.abs(xi[d : 2 * d]).sum())
@@ -238,9 +233,9 @@ def logistic_composite_model(data: Dataset, lam1: float, lam2: float) -> Composi
     return CompositeModel(
         map_eval=map_eval,
         jac_at=jac_at,
-        outer_eval=outer_eval,
-        outer_grad=outer_grad,
-        outer_grad_lipschitz=1.0 / (4.0 * q),
+        outer_eval=loss.eval,
+        outer_grad=loss.grad,
+        outer_grad_lipschitz=loss.lipschitz_const,
         nonsmooth_eval=nonsmooth_eval,
         nonsmooth_prox=nonsmooth_prox,
         dim=2 * d + 1,
@@ -251,9 +246,8 @@ def default_tau(data: Dataset) -> float:
     """Inverse of (loss curvature bound) * (map curvature bound).
 
     The map's second-order remainder constant is 2 sqrt(sum ||a_i||^4)
-    (only the squared inner products are nonlinear, labels have unit
-    magnitude); the loss gradient bound is 1/(4q). Unit columns give
-    2 sqrt(q) overall.
+    (only the squared inner products are nonlinear); the loss gradient
+    bound is 1/(4q). Unit columns give 2 sqrt(q) overall.
     """
     map_curv = 2.0 * float(np.sqrt(np.sum(data.column_norms**4)))
     return 4.0 * data.q / map_curv

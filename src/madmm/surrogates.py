@@ -47,6 +47,9 @@ BACKTRACK_DECREASE = 0.9
 BACKTRACK_GROWTH = 2.0
 BACKTRACK_MIN_RATIO = 1e-12
 
+# Positive lower bound every step's decrease coefficient eta is clamped to.
+ETA_FLOOR = 1e-8
+
 
 class SurrogateError(Exception):
     """A block subproblem could not be set up or solved."""
@@ -128,51 +131,36 @@ class SurrogateSpec:
 
     ``smoothness_const`` is the constant L_i: a number, or a callback
     ``(spec, x, y, w, beta) -> float`` re-evaluated at every outer
-    iteration for state-dependent constants. ``eta_floor`` is the positive
-    lower bound the decrease coefficient is clamped to.
+    iteration for state-dependent constants.
 
-    ``prev_const`` and ``anchor_residual`` describe one step and cannot be
-    set at construction; :meth:`for_step` returns a copy that carries them.
+    ``prev_const`` describes one step and cannot be set at construction;
+    :meth:`for_step` returns a copy that carries it.
     """
 
     kind: SurrogateKind
     kappa: float = 1.1
     smoothness_const: Optional[ConstOrCallback] = None
     kernel: Optional[BregmanKernel] = None
-    eta_floor: float = 1e-8
     prev_const: Optional[float] = field(default=None, init=False, compare=False, repr=False)
-    anchor_residual: Optional[np.ndarray] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.kappa < 1.0:
             raise ValueError("kappa must be >= 1")
-        if self.eta_floor <= 0.0:
-            raise ValueError("eta_floor must be positive")
         if self.kind in (SurrogateKind.PROXIMAL, SurrogateKind.BREGMAN) and self.kernel is None:
             raise ValueError(f"{self.kind.value} surrogate requires a kernel")
         if self.kind is not SurrogateKind.PROXIMAL and self.smoothness_const is None:
             raise ValueError(f"{self.kind.value} surrogate requires smoothness_const")
 
-    def for_step(
-        self,
-        prev_const: Optional[float] = None,
-        anchor_residual: Optional[np.ndarray] = None,
-    ) -> "SurrogateSpec":
-        """Copy of this surrogate carrying one step's inputs.
+    def for_step(self, prev_const: Optional[float] = None) -> "SurrogateSpec":
+        """Copy of this surrogate carrying one step's input.
 
         ``prev_const`` is the constant this block's previous step accepted
         (a Bregman step starts its search below the ceiling from it).
-        ``anchor_residual`` must equal phi(x) + B y at the iterate the step
-        starts from; the step then does not form it again.
         """
         # A plain attribute copy: the solver calls this for every block
         # step, and the fields were validated when ``self`` was built.
         step = object.__new__(type(self))
-        step.__dict__.update(
-            self.__dict__, prev_const=prev_const, anchor_residual=anchor_residual
-        )
+        step.__dict__.update(self.__dict__, prev_const=prev_const)
         return step
 
     def const_at(
@@ -225,8 +213,7 @@ class BlockUpdateResult:
     ``x_new`` (its negative is a subgradient of g_i there); the solver
     stores it to form block stationarity residuals. ``eta`` and
     ``divergence`` feed the sufficient-decrease ledger. ``smoothness`` is
-    the constant the step used; ``residual`` is phi + B y with block i at
-    ``x_new`` when a backtracking test formed it, else None.
+    the constant the step used.
     """
 
     x_new: np.ndarray
@@ -234,7 +221,6 @@ class BlockUpdateResult:
     eta: float
     divergence: float
     smoothness: float
-    residual: Optional[np.ndarray] = None
 
 
 def mm_block_update(
@@ -263,10 +249,9 @@ def mm_block_update(
     g = spec.gs[i]
     kind = surrogate.kind
     L = surrogate.const_at(spec, x, y, w, beta)
-    r = surrogate.anchor_residual
 
     if kind is SurrogateKind.LIPSCHITZ_GRADIENT:
-        grad = smooth_part_block_grad(spec, i, x, y, w, beta, r)
+        grad = smooth_part_block_grad(spec, i, x, y, w, beta)
         coeff = surrogate.kappa * L
         if g.prox is not None:
             x_new = np.atleast_1d(g.prox(z_i - grad / coeff, 1.0 / coeff))
@@ -277,7 +262,7 @@ def mm_block_update(
             raise SurrogateError(f"no prox available for block {i}")
         delta = x_new - z_i
         surrogate_grad = grad + coeff * delta
-        eta = max((surrogate.kappa - 1.0) * L, surrogate.eta_floor)
+        eta = max((surrogate.kappa - 1.0) * L, ETA_FLOOR)
         divergence = 0.5 * float(delta @ delta)
         return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, L)
 
@@ -287,16 +272,14 @@ def mm_block_update(
         kernel = surrogate.kernel
         ceiling = L
         smooth_z = None
+        r = None
         if surrogate.prev_const is not None:
             start = BACKTRACK_DECREASE * surrogate.prev_const
             L = min(max(start, BACKTRACK_MIN_RATIO * ceiling), ceiling)
             if L < ceiling:
-                if r is None:
-                    smooth_z, r = smooth_part_and_residual(spec, x, y, w, beta)
-                else:
-                    smooth_z = smooth_part_value(spec, x, y, w, beta, r)
+                # The anchor's value and gradient share one residual.
+                smooth_z, r = smooth_part_and_residual(spec, x, y, w, beta)
         grad = smooth_part_block_grad(spec, i, x, y, w, beta, r)
-        r_new = None
         while True:
             coeff = surrogate.kappa * L
             sub = BlockSubproblem(z_i, grad, coeff, kernel, kind)
@@ -304,14 +287,13 @@ def mm_block_update(
             divergence = bregman_divergence(kernel, x_new, z_i)
             if L >= ceiling:
                 break
-            smooth_new, r_try = smooth_part_and_residual(spec, x.with_block(i, x_new), y, w, beta)
+            smooth_new = smooth_part_value(spec, x.with_block(i, x_new), y, w, beta)
             if smooth_new <= smooth_z + float(grad @ (x_new - z_i)) + L * divergence:
-                r_new = r_try
                 break
             L = min(BACKTRACK_GROWTH * L, ceiling)
         surrogate_grad = grad + coeff * (kernel.grad(x_new) - kernel.grad(z_i))
-        eta = max((surrogate.kappa - 1.0) * L, surrogate.eta_floor)
-        return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, L, r_new)
+        eta = max((surrogate.kappa - 1.0) * L, ETA_FLOOR)
+        return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, L)
 
     # Proximal kind: the full smooth part plus kappa * D.
     if g.custom_solver is None:
@@ -326,7 +308,7 @@ def mm_block_update(
 
     sub = BlockSubproblem(
         z_i,
-        smooth_part_block_grad(spec, i, x, y, w, beta, r),
+        smooth_part_block_grad(spec, i, x, y, w, beta),
         surrogate.kappa,
         kernel,
         kind,
@@ -337,7 +319,7 @@ def mm_block_update(
     surrogate_grad = smooth_grad(x_new) + surrogate.kappa * (
         kernel.grad(x_new) - kernel.grad(z_i)
     )
-    eta = max(surrogate.kappa, surrogate.eta_floor)
+    eta = max(surrogate.kappa, ETA_FLOOR)
     divergence = bregman_divergence(kernel, x_new, z_i)
     return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, 0.0)
 
@@ -464,7 +446,7 @@ def verify_surrogate_conditions(
         diag.positive_eta = False
         diag.violations.append(
             "eta is zero (kappa == 1 on a non-proximal surrogate); decrease "
-            "coefficient will be clamped to eta_floor"
+            "coefficient will be clamped to ETA_FLOOR"
         )
 
     x_new = np.atleast_1d(np.asarray(x_new, dtype=np.float64))

@@ -86,6 +86,11 @@ CONFIG_ERROR_CASES = [
     ["--max-iters", "3", "--epsilon", "nan"],
     ["--max-iters", "3", "--delta-tilde", "nan"],
     ["--max-iters", "3", "--kappa1", "nan"],
+    # Checked before the data is generated from the seed.
+    ["--max-iters", "3", "--seed", "-1"],
+    # Outputs are written after the runs, so their directories are checked first.
+    ["--max-iters", "3", "--trace", os.path.join(os.devnull, "run")],
+    ["--max-iters", "3", "--summary", os.path.join(os.devnull, "s.json")],
 ]
 
 
@@ -128,20 +133,39 @@ def test_one_build_problem_per_invocation(mode, tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+# Spans the benchmark's per-layer metrics are built from; each must be seen
+# in a traced full_lyapunov run.
+TRACED_SPANS = (
+    "solver.lagrangian",
+    "solver.compute_residuals",
+    "solver.y_update",
+    "model.eval_feasibility",
+    "model.smooth_part_value",
+    "model.smooth_part_block_grad",
+    "surrogates.block0.update",
+    "surrogates.block1.update",
+    "surrogates.block2.update",
+)
+
+
 def test_benchmark_tracer_hooks_still_resolve():
     # perfbench/tracer.py patches madmm's functions by name; a refactor that
-    # renames or drops one breaks the benchmark's traced runs.
+    # renames or drops one, or moves a call out of the patched module's
+    # namespace, breaks the benchmark's traced runs or blinds a metric.
     script = f"""
-import importlib.util, json, sys
+import collections, importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("tracer", {str(ROOT / "perfbench" / "tracer.py")!r})
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
-tracer.install("t")
+live = tracer.install("t")
 import madmm.cli
-sys.exit(madmm.cli.main([
+code = madmm.cli.main([
     "--mode", "compare", "--synthetic", "20x5", "--max-iters", "3",
     "--diagnostics", "full_lyapunov",
-]))
+])
+counts = collections.Counter(span[2] for span in live.spans)
+print(json.dumps(dict(counts)), file=sys.stderr)
+sys.exit(code)
 """
     proc = subprocess.run(
         [sys.executable, "-B", "-c", script],
@@ -155,6 +179,9 @@ sys.exit(madmm.cli.main([
     doc = json.loads(proc.stdout)
     assert set(doc["runs"]) == {"madmm", "proxlinear"}
     assert doc["runs"]["madmm"]["iterations"] == 3
+    counts = json.loads(proc.stderr.strip().splitlines()[-1])
+    missing = [name for name in TRACED_SPANS if counts.get(name, 0) < 1]
+    assert not missing, (missing, counts)
 
 
 def test_strict_escalates_penalty_condition(capsys, caplog):

@@ -45,7 +45,6 @@ def test_scaled_identity_map_constants():
     np.testing.assert_array_equal(B.apply(v), -2.0 * v)
     assert B.lambda_min_BtB == 4.0
     assert B.sigma_B == 4.0
-    assert B.operator_norm == 2.0
     assert B.scale == -2.0
 
 
@@ -54,7 +53,6 @@ def test_dense_map_constants_match_svd():
     M = rng.standard_normal((5, 3))
     B = dense_map(M)
     sv = np.linalg.svd(M, compute_uv=False)
-    assert B.operator_norm == pytest.approx(sv[0])
     assert B.lambda_min_BtB == pytest.approx(sv[-1] ** 2)
     assert B.sigma_B == 0.0  # 5x3: BB* is rank deficient
     wide = dense_map(M.T)
@@ -73,7 +71,6 @@ def test_check_adjoint_detects_mismatch():
         out_dim=4,
         lambda_min_BtB=good.lambda_min_BtB,
         sigma_B=good.sigma_B,
-        operator_norm=good.operator_norm,
     )
     assert not check_adjoint(bad)
 
@@ -169,6 +166,8 @@ def test_augmented_lagrangian_matches_fsum_oracle():
     )
     val = eval_augmented_lagrangian(spec, x, y, w, beta)
     np.testing.assert_allclose(val, oracle, rtol=1e-13)
+    # The solver hands in the residual it already has; the value is the same.
+    assert eval_augmented_lagrangian(spec, x, y, w, beta, eval_feasibility(spec, x, y)) == val
 
     np.testing.assert_allclose(eval_feasibility(spec, x, y), r, rtol=1e-12)
 

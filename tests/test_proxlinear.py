@@ -31,8 +31,6 @@ def test_config_validation():
         ProxLinearConfig(stop_epsilon=-1.0)
     with pytest.raises(ValueError):
         ProxLinearConfig(trace_stride=0)
-    with pytest.raises(ValueError):
-        ProxLinearConfig(safety=0.99)
 
 
 def test_apg_solve_quadratic_converges_fast():
@@ -147,9 +145,8 @@ def test_logistic_composite_model_parts():
     xi = rng.standard_normal(model.dim)
     x1, x2, x3 = unpack_blocks(xi, 5)
 
-    np.testing.assert_allclose(
-        model.map_eval(xi), data.b * phi_eval(data, x1, x2, x3), rtol=1e-14
-    )
+    # The map gives the unlabelled scores; the loss applies the labels.
+    np.testing.assert_allclose(model.map_eval(xi), phi_eval(data, x1, x2, x3), rtol=1e-14)
 
     # Jacobian actions: forward vs finite differences, adjoint vs pairing.
     j_apply, j_adjoint = model.jac_at(xi)
@@ -164,7 +161,7 @@ def test_logistic_composite_model_parts():
 
     t = rng.standard_normal(7)
     assert model.outer_eval(t) == pytest.approx(
-        sum(math.log1p(math.exp(-ti)) for ti in t) / 7.0
+        sum(math.log1p(math.exp(-bi * ti)) for bi, ti in zip(data.b, t)) / 7.0
     )
     fd_g = np.empty(7)
     for k in range(7):

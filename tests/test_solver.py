@@ -5,8 +5,10 @@ import pytest
 
 from madmm.data import make_rng
 from madmm.model import (
+    BlockNonsmooth,
     BlockSmoothTerm,
     BlockVector,
+    DomainError,
     NonlinearMap,
     ProblemSpec,
     SmoothTerm,
@@ -17,6 +19,7 @@ from madmm.model import (
     zero_nonsmooth,
 )
 from madmm.solver import (
+    DIAGNOSTICS_LEVELS,
     Residuals,
     SolverConfig,
     SolverError,
@@ -335,6 +338,19 @@ def test_run_strict_raises_on_understated_constant():
     config_loose = SolverConfig(beta=8.0, max_outer_iters=5)
     res = run(spec, [bad], x0, np.zeros(3), np.zeros(3), config_loose)
     assert any("decrease" in v for v in res.violations)
+
+
+def test_run_raises_domain_error_when_an_iterate_makes_g_infinite():
+    # g_0 is the indicator of {v >= 1} with a prox that ignores it, so the
+    # first step toward the minimizer at 0 leaves its domain.
+    base = _consensus_quadratic(2)
+    box = BlockNonsmooth(eval=lambda v: 0.0 if np.all(v >= 1.0) else None, prox=lambda v, t: v)
+    spec = ProblemSpec(m=1, gs=[box], h=base.h, phi=base.phi, B=base.B, smooth_f=base.smooth_f)
+    x0 = BlockVector([np.ones(2)])
+    for level in DIAGNOSTICS_LEVELS:
+        config = SolverConfig(beta=8.0, max_outer_iters=5, diagnostics_level=level)
+        with pytest.raises(DomainError, match="g_0"):
+            run(spec, [_lg_surrogate(9.0)], x0, np.zeros(2), np.zeros(2), config)
 
 
 def test_run_stop_reasons_max_iters_and_budget():

@@ -131,8 +131,6 @@ def test_surrogate_spec_validation():
     with pytest.raises(ValueError):
         SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=0.5, smoothness_const=1.0)
     with pytest.raises(ValueError):
-        SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, smoothness_const=1.0, eta_floor=0.0)
-    with pytest.raises(ValueError):
         SurrogateSpec(SurrogateKind.BREGMAN, smoothness_const=1.0)  # no kernel
     with pytest.raises(ValueError):
         SurrogateSpec(SurrogateKind.PROXIMAL)  # no kernel
@@ -259,14 +257,13 @@ def test_bregman_backtracking_grows_from_warm_start_until_majorized():
 
     # No previous constant: the ceiling, untested.
     first = mm_block_update(0, sur, spec, x, y, w, 1.0)
-    assert first.smoothness == 10.0 and first.residual is None
+    assert first.smoothness == 10.0
 
     # From 0.9 * 0.1 the constant doubles until it passes beta = 1.
     res = mm_block_update(0, sur.for_step(0.1), spec, x, y, w, 1.0)
     assert res.smoothness == pytest.approx(0.09 * 2.0**4)
     assert res.eta == pytest.approx(0.5 * res.smoothness)
     x_new = x.with_block(0, res.x_new)
-    np.testing.assert_array_equal(res.residual, spec.phi.eval(x_new) - y)
     psi_z = smooth_part_value(spec, x, y, w, 1.0)
     grad = w + (spec.phi.eval(x) - y)
     d = res.x_new - x.blocks[0]
@@ -295,39 +292,18 @@ def test_bregman_backtracking_grows_from_warm_start_until_majorized():
 
 
 def test_step_inputs_are_not_part_of_the_surrogate_config():
-    # prev_const and anchor_residual describe one step: they cannot be set
-    # at construction, and a copy made with replace() drops them.
+    # prev_const describes one step: it cannot be set at construction, and
+    # a copy made with replace() drops it.
     with pytest.raises(TypeError):
         SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, smoothness_const=1.0, prev_const=0.5)
-    with pytest.raises(TypeError):
-        SurrogateSpec(
-            SurrogateKind.LIPSCHITZ_GRADIENT, smoothness_const=1.0, anchor_residual=np.zeros(2)
-        )
     sur = SurrogateSpec(
         SurrogateKind.BREGMAN, kappa=1.5, smoothness_const=10.0, kernel=quadratic_kernel()
     )
-    step = sur.for_step(0.1, np.ones(2))
-    assert sur.prev_const is None and sur.anchor_residual is None
+    step = sur.for_step(0.1)
+    assert sur.prev_const is None
     assert step.prev_const == 0.1 and step == sur
     again = replace(step, kappa=2.0)
-    assert again.prev_const is None and again.anchor_residual is None
-
-    # A step handed the anchor residual lands where one that forms it does.
-    rng = make_rng(43)
-    shift = rng.standard_normal(4)
-    g = BlockNonsmooth(
-        eval=lambda v: 0.0, custom_solver=lambda sub: sub.z_i - sub.grad / sub.coeff
-    )
-    spec = _single_block_spec(4, shift=shift, g=g)
-    x = BlockVector([rng.standard_normal(4)])
-    y = rng.standard_normal(4)
-    w = rng.standard_normal(4)
-    r = spec.phi.eval(x) - y
-    for prev in (None, 0.1):
-        own = mm_block_update(0, sur.for_step(prev), spec, x, y, w, 1.0)
-        handed = mm_block_update(0, sur.for_step(prev, r), spec, x, y, w, 1.0)
-        np.testing.assert_array_equal(own.x_new, handed.x_new)
-        assert own.smoothness == handed.smoothness
+    assert again.prev_const is None
 
 
 def test_verify_conditions_checks_the_constant_a_step_accepted():
