@@ -8,17 +8,24 @@ variable ``y`` (constraint: scores - y = 0, so the linear map is -I) puts
 this in the solver's composite form with m = 3 blocks:
 
 * block 0 (quadratic weights): Bregman surrogate over a quartic kernel
-  whose relative-smoothness constant is state-dependent; the block
-  subproblem has the closed-form solution in :func:`l1_quartic_solve`.
-  The closed-form constant :func:`bregman_constant_x1` is a ceiling the
-  solver backtracks below, since it sums worst-case per-sample caps.
+  for F_c(x1), the smooth part of L_beta with the intercept minimized
+  out. The intercept shifts every score by the same amount, so its
+  minimizer is x3 - mean(w/beta + r) for the residual r; the step
+  centres the residual that way, solves the block subproblem in closed
+  form (:func:`l1_quartic_solve`), and moves the intercept to its
+  minimizer at the new x1 as part of the same step. The state-dependent
+  constant :func:`bregman_constant_x1` bounds F_c's curvature and is a
+  ceiling the solver backtracks below, since it sums worst-case
+  per-sample caps.
 * block 1 (linear weights): Lipschitz-gradient surrogate, soft-threshold
   prox, constant beta * sum_i ||a_i||^2.
 * block 2 (intercept): Lipschitz-gradient surrogate, constant beta * q.
+  The smooth part is quadratic in x3 with that curvature, so the step
+  minimizes x3 exactly again after x2 has moved.
 
 The setup from :func:`build_problem` reads the products A^T x1 and A^T x2
 from one score state that forms each only when its block changes, so a
-solver iteration costs about 6 d-by-q products. The public functions
+solver iteration costs about 5-6 d-by-q products. The public functions
 (:func:`phi_eval` and friends) form their products on every call and
 share their closed forms with the state.
 """
@@ -115,36 +122,36 @@ def logistic_smooth_term(data: Dataset) -> SmoothTerm:
 
 
 def _bregman_constant(
-    na2: np.ndarray,
-    s: np.ndarray,
-    x3: float,
-    y: np.ndarray,
-    w: np.ndarray,
-    beta: float,
+    na2: np.ndarray, s: np.ndarray, y: np.ndarray, w: np.ndarray, beta: float
 ) -> float:
     """:func:`bregman_constant_x1` given na2 = ||a_i||^2 and s = A^T x2."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    c = s + float(np.asarray(x3).reshape(-1)[0])
-    caps = np.maximum(np.abs(w - beta * y) + beta * np.abs(c), 3.0 * beta * na2)
+    e = w + beta * (s - y)
+    caps = np.maximum(np.abs(e - float(e.sum()) / e.size), 3.0 * beta * na2)
     return max(float(np.sum(2.0 * na2 * caps)), _CONST_FLOOR)
 
 
 def bregman_constant_x1(
     data: Dataset,
     x2: np.ndarray,
-    x3: float,
     y: np.ndarray,
     w: np.ndarray,
     beta: float,
 ) -> float:
     """Relative-smoothness constant of the quadratic-weights block.
 
-    Sums per-sample curvature caps 2 ||a_i||^2 max(|w_i - beta y_i| +
-    beta |<a_i,x2> + x3|, 3 beta ||a_i||^2); the quartic kernel's Hessian
-    dominates the block Hessian at this scale for every block value.
+    The block's step majorizes F_c(x1), the smooth part of L_beta with the
+    intercept at its minimizer. With e = w - beta y + beta A^T x2 (the
+    intercept cancels out of F_c), the constant sums per-sample curvature
+    caps 2 ||a_i||^2 max(|e_i - mean(e)|, 3 beta ||a_i||^2). For a
+    direction d with t = A^T d and u = A^T x1, F_c's Hessian gives
+    2 sum t_i^2 [P(e + beta u^2)]_i + 4 beta (u t)^T P (u t) with
+    P = I - 11^T/q, at most sum t_i^2 (2 |e_i - mean(e)| + 6 beta u_i^2);
+    the quartic kernel's Hessian dominates that at this scale for every
+    block value.
     """
-    return _bregman_constant(data.column_norms**2, data.A.T @ x2, x3, y, w, beta)
+    return _bregman_constant(data.column_norms**2, data.A.T @ x2, y, w, beta)
 
 
 def _fitting(
@@ -209,7 +216,7 @@ class _ScoreState:
         return _jac_block_apply(self.data, i, self.u(x.blocks[0]) if i == 0 else None, w)
 
     def const_block0(self, spec, x, y, w, beta) -> float:
-        return _bregman_constant(self.na2, self.s(x.blocks[1]), x.blocks[2][0], y, w, beta)
+        return _bregman_constant(self.na2, self.s(x.blocks[1]), y, w, beta)
 
     def fitting(self, x: BlockVector, lam1: float, lam2: float) -> float:
         x1, x2 = x.blocks[0], x.blocks[1]
@@ -315,6 +322,7 @@ def build_problem(
             kappa=kappa1,
             smoothness_const=scores.const_block0,
             kernel=quartic_kernel(),
+            minimize_out=2,
         ),
         SurrogateSpec(
             kind=SurrogateKind.LIPSCHITZ_GRADIENT,

@@ -26,8 +26,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .data import make_rng
-
 
 class DomainError(Exception):
     """An iterate left the domain of a nonsmooth term (g_i infinite)."""
@@ -161,21 +159,6 @@ def _power_iteration(
     return lam
 
 
-def check_adjoint(B: LinearMap, trials: int = 100, seed: int = 0) -> bool:
-    """Randomized check that <Bu, v> == <u, B*v> within 1e-10 slack."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = make_rng(seed)
-    for _ in range(trials):
-        u = rng.standard_normal(B.in_dim)
-        v = rng.standard_normal(B.out_dim)
-        lhs = float(B.apply(u) @ v)
-        rhs = float(u @ B.adjoint_apply(v))
-        if abs(lhs - rhs) > 1e-10 * (1.0 + np.linalg.norm(u) * np.linalg.norm(v)):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class NonlinearMap:
     """Smooth map phi : R^n -> R^s with block Jacobian actions.
@@ -301,6 +284,22 @@ def smooth_part_and_residual(
     """:func:`smooth_part_value` together with the residual phi(x) + B y it used."""
     r = eval_feasibility(spec, x, y)
     return smooth_part_value(spec, x, y, w, beta, r), r
+
+
+def shift_minimized_residual(
+    spec: ProblemSpec, x: BlockVector, y: np.ndarray, w: np.ndarray, beta: float
+) -> tuple[np.ndarray, float]:
+    """Residual phi(x) + B y after its common shift is chosen optimally.
+
+    A block that enters phi as one scalar added to every component (an
+    intercept) moves the residual r to r + t 1. The shift minimizing the
+    smooth part <w, r> + (beta/2)||r||^2 is t = -(sum(w)/beta + sum(r))/s,
+    taken from sums. Returns (r + t 1, t); the block's minimizer is its
+    current value plus t.
+    """
+    r = eval_feasibility(spec, x, y)
+    shift = -(float(w.sum()) / beta + float(r.sum())) / r.size
+    return r + shift, shift
 
 
 def smooth_part_block_grad(

@@ -3,7 +3,8 @@
 One outer iteration performs, in order:
 
 1. a cyclic pass over the x-blocks, each minimizing its surrogate plus g_i
-   (Gauss-Seidel: later blocks see earlier updates),
+   (Gauss-Seidel: later blocks see earlier updates); a step whose
+   surrogate minimizes out a second block moves that block as well,
 2. a closed-form update of the auxiliary variable y from one quadratic
    model of h, solving (beta B*B + L_h I) y+ = L_h y - grad h(y) - B*(w +
    beta phi(x+)),
@@ -301,6 +302,11 @@ def run(
         for i in range(spec.m):
             upd = mm_block_update(i, surrogates[i].for_step(prev_const[i]), spec, x, y, w, beta)
             x = x.with_block(i, upd.x_new)
+            if upd.x_out is not None:
+                # A step that minimizes out a second block moves it too;
+                # the ledger below certifies the pair. The fresh block
+                # list is this loop's own, so it is set in place.
+                x.blocks[surrogates[i].minimize_out] = upd.x_out
             prev_const[i] = upd.smoothness
             surrogate_grads.append(upd.surrogate_grad)
             min_eta = min(min_eta, upd.eta)

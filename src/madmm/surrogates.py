@@ -19,6 +19,15 @@ A Bregman surrogate backtracks on L once a previous step's constant is
 known: its closed-form constant is then a ceiling, and each step searches
 below it for a constant under which the surrogate majorizes at the new
 point (see :func:`mm_block_update`).
+
+A Bregman surrogate may also minimize out a second block j, an intercept
+that shifts every component of phi by its value (partial minimization,
+or variable projection). Its step then majorizes the smooth part with
+block j at its exact minimizer, F_c(v) = min over x_j, and returns block
+j's minimizer at the new point along with the new block. The merged
+surrogate F(v, x_j) - F_c(v) + M(v), with M the Bregman majorizer of F_c,
+majorizes the smooth part in both blocks and touches it at the anchor,
+so the error bound eta * D in block i still holds for the pair.
 """
 
 from __future__ import annotations
@@ -29,10 +38,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .data import make_rng
 from .model import (
     BlockVector,
     ProblemSpec,
+    shift_minimized_residual,
     smooth_part_and_residual,
     smooth_part_block_grad,
     smooth_part_value,
@@ -133,6 +142,13 @@ class SurrogateSpec:
     ``(spec, x, y, w, beta) -> float`` re-evaluated at every outer
     iteration for state-dependent constants.
 
+    ``minimize_out`` names a block j that a Bregman step minimizes out
+    (see the module docstring). Block j must be a scalar added to every
+    component of phi with nothing else depending on it, g_j must be zero,
+    and the problem may have no coupling term f; its smoothness constant
+    must bound the curvature of the smooth part with block j minimized
+    out.
+
     ``prev_const`` describes one step and cannot be set at construction;
     :meth:`for_step` returns a copy that carries it.
     """
@@ -141,11 +157,17 @@ class SurrogateSpec:
     kappa: float = 1.1
     smoothness_const: Optional[ConstOrCallback] = None
     kernel: Optional[BregmanKernel] = None
+    minimize_out: Optional[int] = None
     prev_const: Optional[float] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kappa < 1.0:
             raise ValueError("kappa must be >= 1")
+        if self.minimize_out is not None:
+            if self.kind is not SurrogateKind.BREGMAN:
+                raise ValueError("only a bregman surrogate can minimize out a block")
+            if self.minimize_out < 0:
+                raise ValueError(f"minimize_out must be a block index, got {self.minimize_out}")
         if self.kind in (SurrogateKind.PROXIMAL, SurrogateKind.BREGMAN) and self.kernel is None:
             raise ValueError(f"{self.kind.value} surrogate requires a kernel")
         if self.kind is not SurrogateKind.PROXIMAL and self.smoothness_const is None:
@@ -213,7 +235,8 @@ class BlockUpdateResult:
     ``x_new`` (its negative is a subgradient of g_i there); the solver
     stores it to form block stationarity residuals. ``eta`` and
     ``divergence`` feed the sufficient-decrease ledger. ``smoothness`` is
-    the constant the step used.
+    the constant the step used. ``x_out`` is the new value of the block
+    the surrogate minimizes out (``SurrogateSpec.minimize_out``), or None.
     """
 
     x_new: np.ndarray
@@ -221,6 +244,16 @@ class BlockUpdateResult:
     eta: float
     divergence: float
     smoothness: float
+    x_out: Optional[np.ndarray] = None
+
+
+def _check_minimize_out(i: int, out: int, spec: ProblemSpec) -> None:
+    if out == i:
+        raise SurrogateError(f"block {i} cannot minimize itself out")
+    if out >= spec.m:
+        raise SurrogateError(f"block {i} minimizes out block {out}, but there are {spec.m} blocks")
+    if spec.smooth_f is not None:
+        raise SurrogateError(f"block {i} minimizes out block {out}, but the problem has a coupling term f")
 
 
 def mm_block_update(
@@ -243,7 +276,11 @@ def mm_block_update(
     otherwise it grows L by BACKTRACK_GROWTH and solves again. The
     closed-form ceiling is a certified constant and is accepted untested.
     The accepted L sets eta = (kappa - 1) L, so the step keeps the
-    sufficient decrease the solver's ledger checks.
+    sufficient decrease the solver's ledger checks. With
+    ``surrogate.minimize_out`` set, smooth and its gradient are those
+    of F_c (block ``out`` at its minimizer) and the result's ``x_out``
+    carries that block's minimizer at ``x_new``; the caller replaces
+    both blocks.
     """
     z_i = x.blocks[i]
     g = spec.gs[i]
@@ -269,17 +306,27 @@ def mm_block_update(
     if kind is SurrogateKind.BREGMAN:
         if g.custom_solver is None:
             raise SurrogateError(f"bregman surrogate for block {i} needs a custom solver")
+        out = surrogate.minimize_out
+        if out is not None:
+            _check_minimize_out(i, out, spec)
         kernel = surrogate.kernel
         ceiling = L
-        smooth_z = None
-        r = None
         if surrogate.prev_const is not None:
             start = BACKTRACK_DECREASE * surrogate.prev_const
             L = min(max(start, BACKTRACK_MIN_RATIO * ceiling), ceiling)
+        # The anchor's value (needed below the ceiling only) and gradient
+        # share one residual; with block ``out`` minimized out, it is the
+        # residual at that block's minimizer.
+        smooth_z = None
+        r = None
+        if out is not None:
+            r, _ = shift_minimized_residual(spec, x, y, w, beta)
             if L < ceiling:
-                # The anchor's value and gradient share one residual.
-                smooth_z, r = smooth_part_and_residual(spec, x, y, w, beta)
+                smooth_z = smooth_part_value(spec, x, y, w, beta, r)
+        elif L < ceiling:
+            smooth_z, r = smooth_part_and_residual(spec, x, y, w, beta)
         grad = smooth_part_block_grad(spec, i, x, y, w, beta, r)
+        shift = None
         while True:
             coeff = surrogate.kappa * L
             sub = BlockSubproblem(z_i, grad, coeff, kernel, kind)
@@ -287,13 +334,24 @@ def mm_block_update(
             divergence = bregman_divergence(kernel, x_new, z_i)
             if L >= ceiling:
                 break
-            smooth_new = smooth_part_value(spec, x.with_block(i, x_new), y, w, beta)
+            x_try = x.with_block(i, x_new)
+            r_try = None
+            if out is not None:
+                r_try, shift = shift_minimized_residual(spec, x_try, y, w, beta)
+            smooth_new = smooth_part_value(spec, x_try, y, w, beta, r_try)
             if smooth_new <= smooth_z + float(grad @ (x_new - z_i)) + L * divergence:
                 break
             L = min(BACKTRACK_GROWTH * L, ceiling)
+            shift = None
         surrogate_grad = grad + coeff * (kernel.grad(x_new) - kernel.grad(z_i))
         eta = max((surrogate.kappa - 1.0) * L, ETA_FLOOR)
-        return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, L)
+        x_out = None
+        if out is not None:
+            if shift is None:
+                # Accepted at the ceiling, untested.
+                _, shift = shift_minimized_residual(spec, x.with_block(i, x_new), y, w, beta)
+            x_out = x.blocks[out] + shift
+        return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, L, x_out)
 
     # Proximal kind: the full smooth part plus kappa * D.
     if g.custom_solver is None:
@@ -322,165 +380,3 @@ def mm_block_update(
     eta = max(surrogate.kappa, ETA_FLOOR)
     divergence = bregman_divergence(kernel, x_new, z_i)
     return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, 0.0)
-
-
-def surrogate_value(
-    surrogate: SurrogateSpec,
-    spec: ProblemSpec,
-    i: int,
-    x: BlockVector,
-    y: np.ndarray,
-    w: np.ndarray,
-    beta: float,
-    v: np.ndarray,
-    smoothness: Optional[float] = None,
-) -> float:
-    """Value u_i(v, z) of the surrogate anchored at the current iterate.
-
-    ``smoothness`` is the constant L the surrogate uses; it defaults to
-    the closed-form constant ``surrogate.const_at``. Pass the constant a
-    step accepted (``BlockUpdateResult.smoothness``) to evaluate the
-    surrogate that step minimized.
-    """
-    z_i = x.blocks[i]
-    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    kind = surrogate.kind
-    if kind is SurrogateKind.PROXIMAL:
-        return smooth_part_value(spec, x.with_block(i, v), y, w, beta) + (
-            surrogate.kappa * bregman_divergence(surrogate.kernel, v, z_i)
-        )
-    base = smooth_part_value(spec, x, y, w, beta)
-    grad = smooth_part_block_grad(spec, i, x, y, w, beta)
-    L = surrogate.const_at(spec, x, y, w, beta) if smoothness is None else smoothness
-    lin = base + float(grad @ (v - z_i))
-    if kind is SurrogateKind.BREGMAN:
-        return lin + surrogate.kappa * L * bregman_divergence(surrogate.kernel, v, z_i)
-    d = v - z_i
-    return lin + 0.5 * surrogate.kappa * L * float(d @ d)
-
-
-@dataclass
-class SurrogateDiagnostics:
-    """Report produced by verify_surrogate_conditions (never raises)."""
-
-    majorization_ok: bool
-    tangency_ok: bool
-    error_bound_ok: bool
-    eta: float
-    divergence: float
-    positive_eta: bool
-    strong_convexity_ok: Optional[bool] = None
-    violations: list[str] = field(default_factory=list)
-
-
-def verify_surrogate_conditions(
-    surrogate: SurrogateSpec,
-    spec: ProblemSpec,
-    i: int,
-    x: BlockVector,
-    y: np.ndarray,
-    w: np.ndarray,
-    beta: float,
-    x_new: np.ndarray,
-    n_probes: int = 50,
-    probe_scale: float = 1.0,
-    seed: int = 0,
-    smoothness: Optional[float] = None,
-) -> SurrogateDiagnostics:
-    """Check majorization, tangency, and the error lower bound at probes.
-
-    Also checks strong convexity of the subproblem objective (the route
-    that applies to convex g_i under quadratic-type surrogates) when that
-    is the configured situation. Violations are reported, not thrown.
-
-    ``smoothness`` is the constant L under test; it defaults to the
-    closed-form constant ``surrogate.const_at``, which is the ceiling of
-    a Bregman step's search. A constant that a Bregman step accepted below
-    the ceiling (``BlockUpdateResult.smoothness``) is certified at
-    ``x_new`` only, not at random probes, so check it with
-    ``n_probes=0``.
-    """
-    rng = make_rng(seed)
-    z_i = x.blocks[i]
-    tol = 1e-9
-
-    def smooth_at(v: np.ndarray) -> float:
-        return smooth_part_value(spec, x.with_block(i, v), y, w, beta)
-
-    def u_at(v: np.ndarray) -> float:
-        return surrogate_value(surrogate, spec, i, x, y, w, beta, v, smoothness)
-
-    diag = SurrogateDiagnostics(
-        majorization_ok=True,
-        tangency_ok=True,
-        error_bound_ok=True,
-        eta=0.0,
-        divergence=0.0,
-        positive_eta=True,
-    )
-
-    gap_at_z = u_at(z_i) - smooth_at(z_i)
-    if abs(gap_at_z) > tol * (1.0 + abs(smooth_at(z_i))):
-        diag.tangency_ok = False
-        diag.violations.append(f"tangency gap {gap_at_z:.3e} at the anchor")
-
-    probes = [np.asarray(x_new, dtype=np.float64)]
-    for _ in range(n_probes):
-        probes.append(z_i + probe_scale * rng.standard_normal(z_i.shape))
-    for p in probes:
-        gap = u_at(p) - smooth_at(p)
-        if gap < -tol * (1.0 + abs(smooth_at(p))):
-            diag.majorization_ok = False
-            diag.violations.append(f"majorization violated by {-gap:.3e}")
-            break
-
-    L = surrogate.const_at(spec, x, y, w, beta) if smoothness is None else smoothness
-    if surrogate.kind is SurrogateKind.PROXIMAL:
-        eta = surrogate.kappa
-        kernel = surrogate.kernel
-    else:
-        eta = (surrogate.kappa - 1.0) * L
-        kernel = surrogate.kernel if surrogate.kind is SurrogateKind.BREGMAN else quadratic_kernel()
-    diag.eta = eta
-    if eta <= 0.0:
-        diag.positive_eta = False
-        diag.violations.append(
-            "eta is zero (kappa == 1 on a non-proximal surrogate); decrease "
-            "coefficient will be clamped to ETA_FLOOR"
-        )
-
-    x_new = np.atleast_1d(np.asarray(x_new, dtype=np.float64))
-    D = bregman_divergence(kernel, x_new, z_i)
-    diag.divergence = D
-    err = u_at(x_new) - smooth_at(x_new)
-    if err < eta * D - tol * (1.0 + abs(err)):
-        diag.error_bound_ok = False
-        diag.violations.append(f"error bound: e={err:.3e} < eta*D={eta * D:.3e}")
-
-    g = spec.gs[i]
-    if g.is_convex and surrogate.kind is SurrogateKind.LIPSCHITZ_GRADIENT:
-        sigma = surrogate.kappa * L
-        ok = True
-        for _ in range(20):
-            v1 = z_i + probe_scale * rng.standard_normal(z_i.shape)
-            v2 = z_i + probe_scale * rng.standard_normal(z_i.shape)
-            t = rng.random()
-            gv1 = g.eval(v1)
-            gv2 = g.eval(v2)
-            mid = t * v1 + (1 - t) * v2
-            gmid = g.eval(mid)
-            if gv1 is None or gv2 is None or gmid is None:
-                continue
-            lhs = u_at(mid) + gmid
-            rhs = (
-                t * (u_at(v1) + gv1)
-                + (1 - t) * (u_at(v2) + gv2)
-                - 0.5 * sigma * t * (1 - t) * float((v1 - v2) @ (v1 - v2))
-            )
-            if lhs > rhs + tol * (1.0 + abs(rhs)):
-                ok = False
-                diag.violations.append("subproblem strong convexity probe failed")
-                break
-        diag.strong_convexity_ok = ok
-
-    return diag

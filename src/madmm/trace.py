@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 CSV_HEADER = "solver,k,t_sec,fit,L,Lhat,R1,R2,R3,Ry,Rc,dx,dy,dw"
 
@@ -92,18 +92,3 @@ def read_trace(path: str) -> list[TraceRecord]:
                 )
             )
         return out
-
-
-def records_equal_ignoring_time(a: Sequence[TraceRecord], b: Sequence[TraceRecord]) -> bool:
-    """Exact equality of two traces except for the wall-clock column."""
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if ra.solver != rb.solver or ra.k != rb.k:
-            return False
-        fa = ra.row()
-        fb = rb.row()
-        # Column 2 is t_sec; everything else must match byte for byte.
-        if fa[:2] != fb[:2] or fa[3:] != fb[3:]:
-            return False
-    return True

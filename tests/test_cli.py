@@ -10,7 +10,9 @@ import pytest
 
 import madmm.cli
 from madmm.cli import BUDGET_DEFAULTS, ConfigError, _resolve_budget_epsilon, main
-from madmm.trace import read_trace, records_equal_ignoring_time
+from madmm.trace import read_trace
+
+from checkers import records_equal_ignoring_time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 

@@ -20,8 +20,7 @@ from madmm.logistic import (
 from madmm.model import (
     BlockVector,
     NonlinearMap,
-    smooth_part_block_grad,
-    smooth_part_value,
+    eval_augmented_lagrangian,
     soft_threshold,
 )
 from madmm.solver import SolverConfig, check_beta_condition, dual_update, run, y_update
@@ -29,8 +28,9 @@ from madmm.surrogates import (
     bregman_divergence,
     mm_block_update,
     quartic_kernel,
-    surrogate_value,
 )
+
+from checkers import surrogate_value
 
 
 def _toy_data(d=6, q=4, seed=0):
@@ -41,13 +41,29 @@ def _toy_data(d=6, q=4, seed=0):
 # oracles for the generic surrogate machinery that the solver runs.
 
 
+def centred_value(data, x1, x2, x3, y, w, beta):
+    """F_c(x1) = beta/2 ||P(w/beta + r)||^2 - ||w||^2/(2 beta), P = I - 11^T/q."""
+    v = w / beta + phi_eval(data, x1, x2, x3) - y
+    v = v - np.mean(v)
+    return 0.5 * beta * float(v @ v) - float(w @ w) / (2.0 * beta)
+
+
+def centred_grad(data, x1, x2, x3, y, w, beta):
+    """grad F_c = J_0^T (w + beta r - mean(w + beta r))."""
+    v = w + beta * (phi_eval(data, x1, x2, x3) - y)
+    return phi_jac_block_apply(data, 0, x1, v - np.mean(v))
+
+
 def x1_update(data, x1, x2, x3, y, w, beta, lam1, kappa1=1.1):
-    """Quadratic-weights step: Bregman surrogate over the quartic kernel."""
-    r = phi_eval(data, x1, x2, x3) - y
-    grad = phi_jac_block_apply(data, 0, x1, w + beta * r)
-    ell = kappa1 * bregman_constant_x1(data, x2, x3, y, w, beta)
+    """Quadratic-weights step at its closed-form constant: Bregman surrogate
+    over the quartic kernel for F_c, the smooth part with the intercept
+    minimized out. Returns the new x1 and the intercept's minimizer there."""
+    grad = centred_grad(data, x1, x2, x3, y, w, beta)
+    ell = kappa1 * bregman_constant_x1(data, x2, y, w, beta)
     c_lin = grad - ell * (float(x1 @ x1) + 1.0) * x1
-    return l1_quartic_solve(c_lin, lam1, ell)
+    x1_new = l1_quartic_solve(c_lin, lam1, ell)
+    r_new = phi_eval(data, x1_new, x2, x3) - y
+    return x1_new, float(x3) - float(np.mean(w / beta + r_new))
 
 
 def x2_update(data, x1, x2, x3, y, w, beta, lam2):
@@ -156,9 +172,9 @@ def test_logistic_smooth_term_constants():
 
 def test_bregman_constant_unit_sample_value():
     # One unit-norm sample, everything else zero, beta = 1:
-    # cap = max(0 + 0, 3) = 3 and the constant is 2 * 1 * 3 = 6.
+    # cap = max(0, 3) = 3 and the constant is 2 * 1 * 3 = 6.
     data = Dataset(A=np.array([[1.0], [0.0]]), b=np.array([1.0]))
-    got = bregman_constant_x1(data, np.zeros(2), 0.0, np.zeros(1), np.zeros(1), 1.0)
+    got = bregman_constant_x1(data, np.zeros(2), np.zeros(1), np.zeros(1), 1.0)
     assert got == pytest.approx(6.0)
 
 
@@ -166,11 +182,10 @@ def test_bregman_constant_scales_linearly_in_beta_when_w_zero():
     data = _toy_data()
     rng = make_rng(4)
     x2 = rng.standard_normal(data.d)
-    x3 = 0.3
     y = rng.standard_normal(data.q)
     w = np.zeros(data.q)
-    c1 = bregman_constant_x1(data, x2, x3, y, w, 1.0)
-    c2 = bregman_constant_x1(data, x2, x3, y, w, 2.0)
+    c1 = bregman_constant_x1(data, x2, y, w, 1.0)
+    c2 = bregman_constant_x1(data, x2, y, w, 2.0)
     assert c2 == pytest.approx(2.0 * c1)
 
 
@@ -178,24 +193,21 @@ def test_bregman_constant_matches_scalar_loop():
     data = _toy_data(d=5, q=7, seed=2)
     rng = make_rng(6)
     x2 = rng.standard_normal(5)
-    x3 = -0.2
     y = rng.standard_normal(7)
     w = rng.standard_normal(7)
     beta = 0.8
+    e = [w[j] - beta * y[j] + beta * float(data.A[:, j] @ x2) for j in range(7)]
+    e_mean = math.fsum(e) / 7
     oracle = math.fsum(
         2.0
         * float(data.A[:, j] @ data.A[:, j])
-        * max(
-            abs(w[j] - beta * y[j])
-            + beta * abs(float(data.A[:, j] @ x2) + x3),
-            3.0 * beta * float(data.A[:, j] @ data.A[:, j]),
-        )
+        * max(abs(e[j] - e_mean), 3.0 * beta * float(data.A[:, j] @ data.A[:, j]))
         for j in range(7)
     )
-    got = bregman_constant_x1(data, x2, x3, y, w, beta)
+    got = bregman_constant_x1(data, x2, y, w, beta)
     np.testing.assert_allclose(got, oracle, rtol=1e-13)
     with pytest.raises(ValueError):
-        bregman_constant_x1(data, x2, x3, y, w, 0.0)
+        bregman_constant_x1(data, x2, y, w, 0.0)
 
 
 def test_l1_quartic_solve_worked_example():
@@ -272,8 +284,9 @@ def test_block_updates_match_generic_machinery():
     x = BlockVector([x1, x2, np.array([x3])])
 
     got0 = mm_block_update(0, setup.surrogates[0], setup.spec, x, y, w, beta)
-    ref0 = x1_update(data, x1, x2, x3, y, w, beta, lam1, kappa1=1.2)
+    ref0, ref_x3 = x1_update(data, x1, x2, x3, y, w, beta, lam1, kappa1=1.2)
     np.testing.assert_allclose(got0.x_new, ref0, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(got0.x_out, [ref_x3], rtol=1e-12)
 
     got1 = mm_block_update(1, setup.surrogates[1], setup.spec, x, y, w, beta)
     ref1 = x2_update(data, x1, x2, x3, y, w, beta, lam2)
@@ -307,8 +320,9 @@ def test_x1_update_minimizes_its_subproblem():
 
 
 def test_relative_smoothness_certificate_for_block0():
-    # The state-dependent constant must majorize the block-0 smooth part
-    # relative to the quartic kernel everywhere, not just near the anchor.
+    # The state-dependent constant must majorize F_c, block 0's smooth part
+    # with the intercept minimized out, relative to the quartic kernel
+    # everywhere, not just near the anchor.
     data = _toy_data(d=5, q=6, seed=4)
     kernel = quartic_kernel()
     rng = make_rng(100)
@@ -321,11 +335,16 @@ def test_relative_smoothness_certificate_for_block0():
         w = rng.standard_normal(6)
         beta = 0.2 + 2.0 * float(rng.random())
         v = x1 + rng.standard_normal(5) * float(3.0 * rng.random())
+        ell = bregman_constant_x1(data, x2, y, w, beta)
+        # F_c, the block's smooth part with the intercept minimized out, and
+        # its gradient, written out from the score map.
+        psi_z = centred_value(data, x1, x2, x3, y, w, beta)
+        psi_v = centred_value(data, v, x2, x3, y, w, beta)
+        grad_z = centred_grad(data, x1, x2, x3, y, w, beta)
+        # The surrogate the step minimizes touches F_c at the anchor.
         x = BlockVector([x1, x2, np.array([x3])])
-        ell = bregman_constant_x1(data, x2, x3, y, w, beta)
-        psi_z = smooth_part_value(setup.spec, x, y, w, beta)
-        psi_v = smooth_part_value(setup.spec, x.with_block(0, v), y, w, beta)
-        grad_z = smooth_part_block_grad(setup.spec, 0, x, y, w, beta)
+        step = surrogate_value(setup.surrogates[0], setup.spec, 0, x, y, w, beta, x1)
+        assert step == pytest.approx(psi_z, rel=1e-12, abs=1e-12)
         gap = (
             psi_z
             + float(grad_z @ (v - x1))
@@ -333,6 +352,65 @@ def test_relative_smoothness_certificate_for_block0():
             - psi_v
         )
         assert gap >= -1e-8 * (1.0 + abs(psi_v))
+
+
+def _random_block0_steps(n_states=60):
+    """Block 0's step from random states on a few shapes, at the ceiling and
+    (every other state) searching below it; yields (setup, x, y, w, beta, step)."""
+    for d, q, seed in ((6, 4, 0), (20, 12, 3), (40, 15, 4)):
+        data = synthetic_generate(d, q, make_rng(seed))
+        setup = build_problem(data, 0.01, 0.02)
+        rng = make_rng(100 + seed)
+        for t in range(n_states):
+            x = BlockVector(
+                [rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal(1)]
+            )
+            y = rng.standard_normal(q)
+            w = 0.1 * rng.standard_normal(q)
+            beta = default_beta(q) * (0.5 + 2.0 * float(rng.random()))
+            surrogate = setup.surrogates[0]
+            if t % 2:
+                ceiling = surrogate.const_at(setup.spec, x, y, w, beta)
+                surrogate = surrogate.for_step(float(rng.random()) * ceiling)
+            step = mm_block_update(0, surrogate, setup.spec, x, y, w, beta)
+            yield setup, x, y, w, beta, step
+
+
+def test_block0_step_leaves_the_intercept_exactly_at_its_minimizer():
+    # The smooth part is quadratic in x3 with derivative sum(w + beta r).
+    for setup, x, y, w, beta, step in _random_block0_steps():
+        v = w + beta * (phi_eval(setup.data, step.x_new, x.blocks[1], step.x_out) - y)
+        assert abs(float(v.sum())) <= 1e-12 * (1.0 + float(np.abs(v).sum()))
+
+
+def test_merged_block0_step_keeps_the_ledger_inequality():
+    # L_beta after both blocks move decreases by at least eta * D. With x3
+    # left where it was, the same inequality fails on many of these states.
+    fails_without_x3 = 0
+    for setup, x, y, w, beta, step in _random_block0_steps():
+        lag_pre = eval_augmented_lagrangian(setup.spec, x, y, w, beta)
+        moved = x.with_block(0, step.x_new)
+        bound = lag_pre + 1e-9 * (1.0 + abs(lag_pre))
+        decrease = step.eta * step.divergence
+        lag = eval_augmented_lagrangian(setup.spec, moved.with_block(2, step.x_out), y, w, beta)
+        assert lag + decrease <= bound
+        lag_x3_kept = eval_augmented_lagrangian(setup.spec, moved, y, w, beta)
+        fails_without_x3 += lag_x3_kept + decrease > bound
+    assert fails_without_x3 >= 10
+
+    # The solver's own ledger, which evaluates L_beta once the step has
+    # replaced both blocks, agrees from random starts.
+    for d, q, seed in ((6, 4, 0), (20, 12, 3), (40, 15, 4)):
+        data = synthetic_generate(d, q, make_rng(seed))
+        setup = build_problem(data, 0.01, 0.02)
+        rng = make_rng(200 + seed)
+        x0 = BlockVector([rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal(1)])
+        config = SolverConfig(
+            beta=default_beta(q), max_outer_iters=50, diagnostics_level="decrease_checks"
+        )
+        y0, w0 = rng.standard_normal(q), 0.1 * rng.standard_normal(q)
+        res = run(setup.spec, setup.surrogates, x0, y0, w0, config)
+        assert res.violations == []
 
 
 def test_fitting_error_at_origin_is_log_two():
@@ -396,11 +474,13 @@ def test_one_solver_iteration_equals_manual_cycle():
     config = SolverConfig(beta=beta, max_outer_iters=1, diagnostics_level="off")
     res = run(setup.spec, setup.surrogates, x0, y0, w0, config)
 
-    x1 = x1_update(
+    # Block 0's step moves the intercept to its minimizer, x3_half; block 2
+    # then minimizes it again after x2 has moved.
+    x1, x3_half = x1_update(
         data, x0.blocks[0], x0.blocks[1], x0.blocks[2][0], y0, w0, beta, lam1
     )
-    x2 = x2_update(data, x1, x0.blocks[1], x0.blocks[2][0], y0, w0, beta, lam2)
-    x3 = x3_update(data, x1, x2, x0.blocks[2][0], y0, w0, beta)
+    x2 = x2_update(data, x1, x0.blocks[1], x3_half, y0, w0, beta, lam2)
+    x3 = x3_update(data, x1, x2, x3_half, y0, w0, beta)
     phi_new = phi_eval(data, x1, x2, x3)
     y1, _, _ = y_update(setup.spec, phi_new, y0, w0, beta)
     w1 = dual_update(w0, phi_new - y1, beta)
@@ -436,7 +516,7 @@ def test_solver_run_on_logistic_is_clean_and_descends():
 
 def test_block0_backtracking_is_certified_and_moves_the_quadratic_weights(monkeypatch):
     # 1000x100 from the pinned start: under the closed-form constant alone,
-    # x1 moves by only ~0.28 in 300 iterations (||x1||^2 stays near 340).
+    # x1 moves by only ~0.03 in 300 iterations (||x1||^2 stays near 340).
     import madmm.solver as solver_module
 
     data = synthetic_generate(1000, 100, make_rng(1))
@@ -459,13 +539,16 @@ def test_block0_backtracking_is_certified_and_moves_the_quadratic_weights(monkey
     kernel = quartic_kernel()
     below_ceiling = 0
     for surrogate, x, y, w, upd in steps:
-        ceiling = bregman_constant_x1(data, x.blocks[1], x.blocks[2][0], y, w, beta)
+        x2, x3 = x.blocks[1], x.blocks[2][0]
+        ceiling = bregman_constant_x1(data, x2, y, w, beta)
         assert upd.smoothness <= ceiling
         below_ceiling += upd.smoothness < ceiling
+        # The accepted constant majorizes F_c (intercept minimized out) at
+        # the new point.
         z = x.blocks[0]
-        psi_z = smooth_part_value(setup.spec, x, y, w, beta)
-        psi_new = smooth_part_value(setup.spec, x.with_block(0, upd.x_new), y, w, beta)
-        grad_z = smooth_part_block_grad(setup.spec, 0, x, y, w, beta)
+        psi_z = centred_value(data, z, x2, x3, y, w, beta)
+        psi_new = centred_value(data, upd.x_new, x2, x3, y, w, beta)
+        grad_z = centred_grad(data, z, x2, x3, y, w, beta)
         model = (
             psi_z
             + float(grad_z @ (upd.x_new - z))
@@ -473,8 +556,11 @@ def test_block0_backtracking_is_certified_and_moves_the_quadratic_weights(monkey
         )
         assert psi_new <= model + 1e-12 * (1.0 + abs(model))
         assert upd.eta == pytest.approx((setup.kappa1 - 1.0) * upd.smoothness, rel=1e-15)
+        # The step leaves the intercept at its minimizer for the new x1.
+        v = w + beta * (phi_eval(data, upd.x_new, x2, upd.x_out) - y)
+        assert abs(float(v.sum())) <= 1e-12 * (1.0 + float(np.abs(v).sum()))
     # The first step uses the closed-form ceiling; later ones search below it.
-    assert steps[0][4].smoothness == bregman_constant_x1(data, x0.blocks[1], x0.blocks[2][0], y0, w0, beta)
+    assert steps[0][4].smoothness == bregman_constant_x1(data, x0.blocks[1], y0, w0, beta)
     assert below_ceiling >= 290
     assert float(np.linalg.norm(res.x.blocks[0] - x0.blocks[0])) > 2.0
 
@@ -523,7 +609,7 @@ def _assert_cached_map_matches_reference(setup, x, y, w, beta):
         got = setup.spec.phi.jac_block_apply(i, x, v)
         assert _bits(got) == _bits(phi_jac_block_apply(data, i, x1, v))
     const = setup.surrogates[0].smoothness_const(setup.spec, x, y, w, beta)
-    assert _bits(const) == _bits(bregman_constant_x1(data, x2, x3, y, w, beta))
+    assert _bits(const) == _bits(bregman_constant_x1(data, x2, y, w, beta))
     assert _bits(setup.fitting(x)) == _bits(fitting_error(data, x1, x2, x3, setup.lam1, setup.lam2))
 
 
@@ -574,7 +660,7 @@ def _uncached_setup(setup):
     block0 = dataclasses.replace(
         setup.surrogates[0],
         smoothness_const=lambda spec, x, y, w, beta: bregman_constant_x1(
-            data, x.blocks[1], x.blocks[2][0], y, w, beta
+            data, x.blocks[1], y, w, beta
         ),
     )
     return dataclasses.replace(

@@ -13,7 +13,6 @@ from madmm.model import (
     NonlinearMap,
     ProblemSpec,
     SmoothTerm,
-    check_adjoint,
     dense_map,
     eval_augmented_lagrangian,
     eval_feasibility,
@@ -24,6 +23,8 @@ from madmm.model import (
     soft_threshold,
     zero_nonsmooth,
 )
+
+from checkers import check_adjoint
 
 
 def test_block_vector_basics():

@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 from madmm.data import make_rng
 from madmm.model import (
     BlockNonsmooth,
+    BlockSmoothTerm,
     BlockVector,
     NonlinearMap,
     ProblemSpec,
@@ -27,9 +28,9 @@ from madmm.surrogates import (
     mm_block_update,
     quadratic_kernel,
     quartic_kernel,
-    surrogate_value,
-    verify_surrogate_conditions,
 )
+
+from checkers import surrogate_value, verify_surrogate_conditions
 
 
 def test_kernel_gradients_match_central_differences():
@@ -136,6 +137,54 @@ def test_surrogate_spec_validation():
         SurrogateSpec(SurrogateKind.PROXIMAL)  # no kernel
     with pytest.raises(ValueError):
         SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT)  # no constant
+
+
+def test_minimize_out_is_validated():
+    kernel = quartic_kernel()
+    # Only a Bregman step minimizes out a block, and the field is an index.
+    with pytest.raises(ValueError, match="only a bregman"):
+        SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, smoothness_const=1.0, minimize_out=1)
+    with pytest.raises(ValueError, match="block index"):
+        SurrogateSpec(SurrogateKind.BREGMAN, smoothness_const=1.0, kernel=kernel, minimize_out=-1)
+
+    # Two blocks, the second an intercept: phi(x) = x_0 + x_1 1.
+    g = BlockNonsmooth(eval=lambda v: 0.0, custom_solver=lambda sub: sub.z_i, is_convex=True)
+    spec = ProblemSpec(
+        m=2,
+        gs=[g, zero_nonsmooth()],
+        h=SmoothTerm(eval=lambda y: 0.5 * float(y @ y), grad=lambda y: y, lipschitz_const=1.0),
+        phi=NonlinearMap(
+            eval=lambda x: x.blocks[0] + x.blocks[1][0],
+            jac_block_apply=lambda i, x, w: w if i == 0 else np.array([w.sum()]),
+            out_dim=3,
+        ),
+        B=scaled_identity_map(-1.0, 3),
+    )
+    x = BlockVector([np.ones(3), np.zeros(1)])
+    y = np.zeros(3)
+    w = np.zeros(3)
+
+    def step(out, on=spec):
+        sur = SurrogateSpec(
+            SurrogateKind.BREGMAN, smoothness_const=1.0, kernel=kernel, minimize_out=out
+        )
+        return mm_block_update(0, sur, on, x, y, w, 1.0)
+
+    with pytest.raises(SurrogateError, match="itself"):
+        step(0)
+    with pytest.raises(SurrogateError, match="there are 2 blocks"):
+        step(2)
+    coupled = replace(
+        spec,
+        smooth_f=BlockSmoothTerm(eval=lambda x: 0.0, block_grad=lambda i, x: np.zeros_like(x.blocks[i])),
+    )
+    with pytest.raises(SurrogateError, match="coupling term"):
+        step(1, coupled)
+    # Accepted: x_0 stays put, and the intercept lands on minus the mean of x_0.
+    res = step(1)
+    np.testing.assert_array_equal(res.x_new, np.ones(3))
+    np.testing.assert_allclose(res.x_out, [-1.0], rtol=1e-15)
+    assert step(None).x_out is None
 
 
 def _single_block_spec(n, shift=None, g=None):

@@ -7,9 +7,10 @@ from madmm.trace import (
     TraceRecord,
     format_float,
     read_trace,
-    records_equal_ignoring_time,
     write_trace,
 )
+
+from checkers import records_equal_ignoring_time
 
 
 def _rec(k=1, t=0.5, fit=0.25, solver="madmm", blocks=(0.1, 0.2, 0.3), dx=1e-3):
