@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, make_rng
 from .model import (
@@ -100,7 +99,8 @@ def _logistic_value(data: Dataset, y: np.ndarray) -> float:
 
 
 def _logistic_grad(data: Dataset, y: np.ndarray) -> np.ndarray:
-    return -(data.b * expit(-(data.b * y))) / data.q
+    # expit(-m) = exp(-logaddexp(0, m)); the exponent is never positive.
+    return -(data.b * np.exp(-np.logaddexp(0.0, data.b * y))) / data.q
 
 
 def logistic_h(data: Dataset, y: np.ndarray) -> tuple[float, np.ndarray]:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import (
     BlockVector,
@@ -134,8 +133,8 @@ def check_beta_condition(
     return lhs >= rhs, lhs, rhs
 
 
-def _gram_factor(spec: ProblemSpec, beta: float):
-    """Cholesky factor of beta B*B + L_h I, built column by column."""
+def _gram_factor(spec: ProblemSpec, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (lam, V) of beta B*B + L_h I, built column by column."""
     q = spec.B.in_dim
     G = np.empty((q, q), dtype=np.float64)
     for j in range(q):
@@ -143,7 +142,7 @@ def _gram_factor(spec: ProblemSpec, beta: float):
         e[j] = 1.0
         G[:, j] = spec.B.adjoint_apply(spec.B.apply(e))
     M = beta * G + spec.h.lipschitz_const * np.eye(q)
-    return cho_factor(M)
+    return np.linalg.eigh(M)
 
 
 def y_update(
@@ -158,8 +157,9 @@ def y_update(
 
     Returns (y_new, stationarity residual, rhs norm); the residual should
     sit within 1e-10 (1 + rhs norm). A scalar-multiple-of-identity B is
-    solved componentwise; otherwise a Cholesky factorization of
-    beta B*B + L_h I is built once and reused via ``cache``.
+    solved componentwise; otherwise the symmetric positive definite
+    beta B*B + L_h I = V diag(lam) V^T is eigendecomposed once, reused via
+    ``cache``, and each solve costs two q-by-q products.
     """
     lh = spec.h.lipschitz_const
     rhs = lh * y - spec.h.grad(y) - spec.B.adjoint_apply(w + beta * phi_x)
@@ -173,7 +173,8 @@ def y_update(
             if factor is None:
                 factor = _gram_factor(spec, beta)
                 cache["y_factor"] = factor
-        y_new = cho_solve(factor, rhs)
+        lam, V = factor
+        y_new = V @ ((V.T @ rhs) / lam)
     resid = beta * spec.B.adjoint_apply(spec.B.apply(y_new)) + lh * y_new - rhs
     return y_new, float(np.linalg.norm(resid)), float(np.linalg.norm(rhs))
 

@@ -2,18 +2,16 @@
 
 A surrogate for block ``i`` majorizes the smooth-in-x part of the augmented
 Lagrangian as a function of that block, touching it at the current iterate.
-Three families are supported:
+Two families are supported:
 
-* ``PROXIMAL``          u(v) = smooth(v) + kappa * D(v, z_i)
 * ``LIPSCHITZ_GRADIENT`` u(v) = smooth(z) + <grad, v - z_i> + (kappa*L/2)|v - z_i|^2
   with L the gradient Lipschitz bound
 * ``BREGMAN``           u(v) = smooth(z) + <grad, v - z_i> + kappa*L*D(v, z_i)
   with L a relative-smoothness constant for the kernel's geometry
 
 where D is the Bregman divergence of the chosen kernel. The approximation
-error u - smooth admits the lower bound eta * D with eta = kappa for the
-proximal kind and eta = (kappa - 1) * L otherwise, which is what the
-solver's sufficient-decrease accounting consumes.
+error u - smooth admits the lower bound eta * D with eta = (kappa - 1) * L,
+which is what the solver's sufficient-decrease accounting consumes.
 
 A Bregman surrogate backtracks on L once a previous step's constant is
 known: its closed-form constant is then a ceiling, and each step searches
@@ -65,7 +63,6 @@ class SurrogateError(Exception):
 
 
 class SurrogateKind(enum.Enum):
-    PROXIMAL = "proximal"
     LIPSCHITZ_GRADIENT = "lipschitz_gradient"
     BREGMAN = "bregman"
 
@@ -168,9 +165,9 @@ class SurrogateSpec:
                 raise ValueError("only a bregman surrogate can minimize out a block")
             if self.minimize_out < 0:
                 raise ValueError(f"minimize_out must be a block index, got {self.minimize_out}")
-        if self.kind in (SurrogateKind.PROXIMAL, SurrogateKind.BREGMAN) and self.kernel is None:
-            raise ValueError(f"{self.kind.value} surrogate requires a kernel")
-        if self.kind is not SurrogateKind.PROXIMAL and self.smoothness_const is None:
+        if self.kind is SurrogateKind.BREGMAN and self.kernel is None:
+            raise ValueError("bregman surrogate requires a kernel")
+        if self.smoothness_const is None:
             raise ValueError(f"{self.kind.value} surrogate requires smoothness_const")
 
     def for_step(self, prev_const: Optional[float] = None) -> "SurrogateSpec":
@@ -193,8 +190,6 @@ class SurrogateSpec:
         w: np.ndarray,
         beta: float,
     ) -> float:
-        if self.kind is SurrogateKind.PROXIMAL:
-            return 0.0
         if callable(self.smoothness_const):
             value = float(self.smoothness_const(spec, x, y, w, beta))
         else:
@@ -210,21 +205,13 @@ class BlockSubproblem:
 
     The solver must return a global minimizer of
 
-        g_i(v) + <grad, v - z_i> + coeff * D_kernel(v, z_i)        (linearized kinds)
-        g_i(v) + smooth_value(v) + coeff * D_kernel(v, z_i)        (proximal kind)
-
-    ``smooth_value``/``smooth_grad`` are only populated for the proximal
-    kind; ``kernel`` is the quadratic kernel when the surrogate is a plain
-    quadratic.
+        g_i(v) + <grad, v - z_i> + coeff * D_kernel(v, z_i).
     """
 
     z_i: np.ndarray
     grad: np.ndarray
     coeff: float
     kernel: BregmanKernel
-    kind: SurrogateKind
-    smooth_value: Optional[Callable[[np.ndarray], float]] = None
-    smooth_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -284,99 +271,65 @@ def mm_block_update(
     """
     z_i = x.blocks[i]
     g = spec.gs[i]
-    kind = surrogate.kind
     L = surrogate.const_at(spec, x, y, w, beta)
 
-    if kind is SurrogateKind.LIPSCHITZ_GRADIENT:
+    if surrogate.kind is SurrogateKind.LIPSCHITZ_GRADIENT:
+        if g.prox is None:
+            raise SurrogateError(f"no prox available for block {i}")
         grad = smooth_part_block_grad(spec, i, x, y, w, beta)
         coeff = surrogate.kappa * L
-        if g.prox is not None:
-            x_new = np.atleast_1d(g.prox(z_i - grad / coeff, 1.0 / coeff))
-        elif g.custom_solver is not None:
-            sub = BlockSubproblem(z_i, grad, coeff, quadratic_kernel(), kind)
-            x_new = np.atleast_1d(g.custom_solver(sub))
-        else:
-            raise SurrogateError(f"no prox available for block {i}")
+        x_new = np.atleast_1d(g.prox(z_i - grad / coeff, 1.0 / coeff))
         delta = x_new - z_i
         surrogate_grad = grad + coeff * delta
         eta = max((surrogate.kappa - 1.0) * L, ETA_FLOOR)
         divergence = 0.5 * float(delta @ delta)
         return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, L)
 
-    if kind is SurrogateKind.BREGMAN:
-        if g.custom_solver is None:
-            raise SurrogateError(f"bregman surrogate for block {i} needs a custom solver")
-        out = surrogate.minimize_out
-        if out is not None:
-            _check_minimize_out(i, out, spec)
-        kernel = surrogate.kernel
-        ceiling = L
-        if surrogate.prev_const is not None:
-            start = BACKTRACK_DECREASE * surrogate.prev_const
-            L = min(max(start, BACKTRACK_MIN_RATIO * ceiling), ceiling)
-        # The anchor's value (needed below the ceiling only) and gradient
-        # share one residual; with block ``out`` minimized out, it is the
-        # residual at that block's minimizer.
-        smooth_z = None
-        r = None
-        if out is not None:
-            r, _ = shift_minimized_residual(spec, x, y, w, beta)
-            if L < ceiling:
-                smooth_z = smooth_part_value(spec, x, y, w, beta, r)
-        elif L < ceiling:
-            smooth_z, r = smooth_part_and_residual(spec, x, y, w, beta)
-        grad = smooth_part_block_grad(spec, i, x, y, w, beta, r)
-        shift = None
-        while True:
-            coeff = surrogate.kappa * L
-            sub = BlockSubproblem(z_i, grad, coeff, kernel, kind)
-            x_new = np.atleast_1d(g.custom_solver(sub))
-            divergence = bregman_divergence(kernel, x_new, z_i)
-            if L >= ceiling:
-                break
-            x_try = x.with_block(i, x_new)
-            r_try = None
-            if out is not None:
-                r_try, shift = shift_minimized_residual(spec, x_try, y, w, beta)
-            smooth_new = smooth_part_value(spec, x_try, y, w, beta, r_try)
-            if smooth_new <= smooth_z + float(grad @ (x_new - z_i)) + L * divergence:
-                break
-            L = min(BACKTRACK_GROWTH * L, ceiling)
-            shift = None
-        surrogate_grad = grad + coeff * (kernel.grad(x_new) - kernel.grad(z_i))
-        eta = max((surrogate.kappa - 1.0) * L, ETA_FLOOR)
-        x_out = None
-        if out is not None:
-            if shift is None:
-                # Accepted at the ceiling, untested.
-                _, shift = shift_minimized_residual(spec, x.with_block(i, x_new), y, w, beta)
-            x_out = x.blocks[out] + shift
-        return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, L, x_out)
-
-    # Proximal kind: the full smooth part plus kappa * D.
     if g.custom_solver is None:
-        raise SurrogateError(f"proximal surrogate for block {i} needs a custom solver")
+        raise SurrogateError(f"bregman surrogate for block {i} needs a custom solver")
+    out = surrogate.minimize_out
+    if out is not None:
+        _check_minimize_out(i, out, spec)
     kernel = surrogate.kernel
-
-    def smooth_value(v: np.ndarray) -> float:
-        return smooth_part_value(spec, x.with_block(i, v), y, w, beta)
-
-    def smooth_grad(v: np.ndarray) -> np.ndarray:
-        return smooth_part_block_grad(spec, i, x.with_block(i, v), y, w, beta)
-
-    sub = BlockSubproblem(
-        z_i,
-        smooth_part_block_grad(spec, i, x, y, w, beta),
-        surrogate.kappa,
-        kernel,
-        kind,
-        smooth_value=smooth_value,
-        smooth_grad=smooth_grad,
-    )
-    x_new = np.atleast_1d(g.custom_solver(sub))
-    surrogate_grad = smooth_grad(x_new) + surrogate.kappa * (
-        kernel.grad(x_new) - kernel.grad(z_i)
-    )
-    eta = max(surrogate.kappa, ETA_FLOOR)
-    divergence = bregman_divergence(kernel, x_new, z_i)
-    return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, 0.0)
+    ceiling = L
+    if surrogate.prev_const is not None:
+        start = BACKTRACK_DECREASE * surrogate.prev_const
+        L = min(max(start, BACKTRACK_MIN_RATIO * ceiling), ceiling)
+    # The anchor's value (needed below the ceiling only) and gradient
+    # share one residual; with block ``out`` minimized out, it is the
+    # residual at that block's minimizer.
+    smooth_z = None
+    r = None
+    if out is not None:
+        r, _ = shift_minimized_residual(spec, x, y, w, beta)
+        if L < ceiling:
+            smooth_z = smooth_part_value(spec, x, y, w, beta, r)
+    elif L < ceiling:
+        smooth_z, r = smooth_part_and_residual(spec, x, y, w, beta)
+    grad = smooth_part_block_grad(spec, i, x, y, w, beta, r)
+    shift = None
+    while True:
+        coeff = surrogate.kappa * L
+        sub = BlockSubproblem(z_i, grad, coeff, kernel)
+        x_new = np.atleast_1d(g.custom_solver(sub))
+        divergence = bregman_divergence(kernel, x_new, z_i)
+        if L >= ceiling:
+            break
+        x_try = x.with_block(i, x_new)
+        r_try = None
+        if out is not None:
+            r_try, shift = shift_minimized_residual(spec, x_try, y, w, beta)
+        smooth_new = smooth_part_value(spec, x_try, y, w, beta, r_try)
+        if smooth_new <= smooth_z + float(grad @ (x_new - z_i)) + L * divergence:
+            break
+        L = min(BACKTRACK_GROWTH * L, ceiling)
+        shift = None
+    surrogate_grad = grad + coeff * (kernel.grad(x_new) - kernel.grad(z_i))
+    eta = max((surrogate.kappa - 1.0) * L, ETA_FLOOR)
+    x_out = None
+    if out is not None:
+        if shift is None:
+            # Accepted at the ceiling, untested.
+            _, shift = shift_minimized_residual(spec, x.with_block(i, x_new), y, w, beta)
+        x_out = x.blocks[out] + shift
+    return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, L, x_out)

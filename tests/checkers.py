@@ -49,11 +49,6 @@ def surrogate_value(
     """
     z_i = x.blocks[i]
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    kind = surrogate.kind
-    if kind is SurrogateKind.PROXIMAL:
-        return smooth_part_value(spec, x.with_block(i, v), y, w, beta) + (
-            surrogate.kappa * bregman_divergence(surrogate.kernel, v, z_i)
-        )
     r = None
     if surrogate.minimize_out is not None:
         r, _ = shift_minimized_residual(spec, x, y, w, beta)
@@ -61,7 +56,7 @@ def surrogate_value(
     grad = smooth_part_block_grad(spec, i, x, y, w, beta, r)
     L = surrogate.const_at(spec, x, y, w, beta) if smoothness is None else smoothness
     lin = base + float(grad @ (v - z_i))
-    if kind is SurrogateKind.BREGMAN:
+    if surrogate.kind is SurrogateKind.BREGMAN:
         return lin + surrogate.kappa * L * bregman_divergence(surrogate.kernel, v, z_i)
     d = v - z_i
     return lin + 0.5 * surrogate.kappa * L * float(d @ d)
@@ -149,18 +144,13 @@ def verify_surrogate_conditions(
             break
 
     L = surrogate.const_at(spec, x, y, w, beta) if smoothness is None else smoothness
-    if surrogate.kind is SurrogateKind.PROXIMAL:
-        eta = surrogate.kappa
-        kernel = surrogate.kernel
-    else:
-        eta = (surrogate.kappa - 1.0) * L
-        kernel = surrogate.kernel if surrogate.kind is SurrogateKind.BREGMAN else quadratic_kernel()
+    eta = (surrogate.kappa - 1.0) * L
+    kernel = surrogate.kernel if surrogate.kind is SurrogateKind.BREGMAN else quadratic_kernel()
     diag.eta = eta
     if eta <= 0.0:
         diag.positive_eta = False
         diag.violations.append(
-            "eta is zero (kappa == 1 on a non-proximal surrogate); decrease "
-            "coefficient will be clamped to ETA_FLOOR"
+            "eta is zero (kappa == 1); decrease coefficient will be clamped to ETA_FLOOR"
         )
 
     x_new = np.atleast_1d(np.asarray(x_new, dtype=np.float64))

@@ -186,6 +186,33 @@ sys.exit(code)
     assert not missing, (missing, counts)
 
 
+def test_cli_process_loads_no_scipy():
+    # numpy is the package's only runtime dependency; scipy is a test-only
+    # oracle, so a CLI run must not import any of it.
+    script = """
+import sys
+import madmm.cli
+code = madmm.cli.main([
+    "--mode", "compare", "--synthetic", "20x5", "--max-iters", "3",
+    "--diagnostics", "full_lyapunov",
+])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(loaded, file=sys.stderr)
+sys.exit(code)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["runs"]["madmm"]["iterations"] == 3
+    assert proc.stderr.strip().splitlines()[-1] == "[]", proc.stderr[-2000:]
+
+
 def test_strict_escalates_penalty_condition(capsys, caplog):
     base = ["--mode", "madmm", "--synthetic", "20x5", "--max-iters", "3", "--beta", "1e-9"]
     code, _, err = _run(base + ["--strict"], capsys)

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from madmm.data import Dataset, make_rng, normalize_columns, synthetic_generate
 from madmm.logistic import (
@@ -158,6 +160,23 @@ def test_logistic_h_extreme_scores_stay_finite():
     np.testing.assert_allclose(grad, [-0.5, 0.5], rtol=1e-15)
     tiny, _ = logistic_h(data, np.array([1000.0, -1000.0]))
     assert 0.0 <= tiny < 1e-300
+
+
+def test_logistic_grad_matches_expit_over_the_margin_range():
+    # The gradient is -b expit(-m) / q at margin m = b y, formed without
+    # scipy. Criterion 4's central differences cover only ordinary
+    # margins; this covers the tails, where expit underflows, and the
+    # limits at infinite margin.
+    margins = np.concatenate([np.linspace(-800.0, 800.0, 64001), [-np.inf, np.inf]])
+    q = margins.size
+    b = np.where(np.arange(q) % 2 == 0, 1.0, -1.0)
+    data = Dataset(A=np.zeros((1, q)), b=b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, grad = logistic_h(data, b * margins)
+    np.testing.assert_allclose(grad, -(b * expit(-margins)) / q, rtol=1e-12, atol=1e-300)
+    assert grad[-1] == 0.0
+    assert grad[-2] == -b[-2] / q
 
 
 def test_logistic_smooth_term_constants():

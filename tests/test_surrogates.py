@@ -134,8 +134,6 @@ def test_surrogate_spec_validation():
     with pytest.raises(ValueError):
         SurrogateSpec(SurrogateKind.BREGMAN, smoothness_const=1.0)  # no kernel
     with pytest.raises(ValueError):
-        SurrogateSpec(SurrogateKind.PROXIMAL)  # no kernel
-    with pytest.raises(ValueError):
         SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT)  # no constant
 
 
@@ -442,28 +440,6 @@ def test_bregman_quartic_kernel_update_is_first_order_stationary():
     assert res.divergence == pytest.approx(
         bregman_divergence(kernel, res.x_new, x.blocks[0])
     )
-
-
-def test_proximal_kind_update_and_eta():
-    c = np.array([2.0, -1.0])
-    spec0 = _single_block_spec(2, shift=c)
-
-    def solve(sub):
-        # argmin (1/2)||v-c||^2 + kappa*(1/2)||v-z||^2, closed form.
-        return (c + sub.coeff * sub.z_i) / (1.0 + sub.coeff)
-
-    g = BlockNonsmooth(eval=lambda v: 0.0, custom_solver=solve, is_convex=True)
-    spec = _single_block_spec(2, shift=c, g=g)
-    sur = SurrogateSpec(SurrogateKind.PROXIMAL, kappa=2.0, kernel=quadratic_kernel())
-    z = np.array([0.5, 0.5])
-    x = BlockVector([z])
-    res = mm_block_update(0, sur, spec, x, np.zeros(2), np.zeros(2), 1.0)
-    np.testing.assert_allclose(res.x_new, (c + 2.0 * z) / 3.0, rtol=1e-14)
-    np.testing.assert_allclose(res.surrogate_grad, np.zeros(2), atol=1e-14)
-    assert res.eta == pytest.approx(2.0)
-    assert res.smoothness == 0.0
-    # const_at reports 0 for the proximal kind regardless of callbacks.
-    assert sur.const_at(spec0, x, np.zeros(2), np.zeros(2), 1.0) == 0.0
 
 
 def test_const_at_callable_and_rejects_bad_values():
