@@ -10,7 +10,8 @@ monotone restart, prox-gradient mapping norm as the certificate). The
 generic :class:`CompositeModel` keeps the solver testable on toy models;
 :func:`logistic_composite_model` instantiates the classifier benchmark
 over the concatenated variable [quadratic weights; linear weights;
-intercept].
+intercept], with each Jacobian action one pass over the feature matrix
+(three d-by-q products per inner iteration: two forward, one adjoint).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import Dataset, make_rng
-from .logistic import _jac_block_apply, _scores, fitting_error, initial_state, logistic_smooth_term
+from .logistic import _scores, fitting_error, initial_state, logistic_smooth_term
 from .model import _power_iteration, soft_threshold
 from .solver import SolverError
 from .trace import TraceRecord
@@ -202,22 +203,39 @@ def unpack_blocks(xi: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, float
 
 def logistic_composite_model(data: Dataset, lam1: float, lam2: float) -> CompositeModel:
     """Classifier benchmark in composite form: the score map inside the
-    block solver's logistic loss, which holds the labels."""
+    block solver's logistic loss, which holds the labels.
+
+    The map and both Jacobian actions each make one pass over A: the two
+    weight blocks go through a single d-by-2 (or 2-column) product, so an
+    inner iteration costs three products instead of six.
+    """
     A, d = data.A, data.d
     loss = logistic_smooth_term(data)
 
+    def weight_products(xi: np.ndarray) -> np.ndarray:
+        # Columns A^T xi[:d] and A^T xi[d:2d], from one product.
+        return A.T @ xi[: 2 * d].reshape(2, d).T
+
     def map_eval(xi: np.ndarray) -> np.ndarray:
-        x1, x2, x3 = unpack_blocks(xi, d)
-        return _scores(A.T @ x1, A.T @ x2, x3)
+        t = weight_products(xi)
+        return _scores(t[:, 0], t[:, 1], xi[2 * d])
 
     def jac_at(xi: np.ndarray):
-        u = A.T @ xi[:d]
+        u2 = 2.0 * (A.T @ xi[:d])
 
         def j_apply(v: np.ndarray) -> np.ndarray:
-            return 2.0 * u * (A.T @ v[:d]) + A.T @ v[d : 2 * d] + v[2 * d]
+            t = weight_products(v)
+            return u2 * t[:, 0] + t[:, 1] + v[2 * d]
 
         def j_adjoint(s: np.ndarray) -> np.ndarray:
-            return np.concatenate([_jac_block_apply(data, i, u, s) for i in range(3)])
+            # A @ (q, 2) is the fast layout; (2, q) @ A.T is about 2.5x slower.
+            r = np.empty((s.shape[0], 2))
+            r[:, 0] = u2 * s
+            r[:, 1] = s
+            out = np.empty(2 * d + 1)
+            out[: 2 * d].reshape(2, d)[...] = (A @ r).T
+            out[2 * d] = s.sum()
+            return out
 
         return j_apply, j_adjoint
 

@@ -151,8 +151,8 @@ class SurrogateSpec:
     """
 
     kind: SurrogateKind
+    smoothness_const: ConstOrCallback
     kappa: float = 1.1
-    smoothness_const: Optional[ConstOrCallback] = None
     kernel: Optional[BregmanKernel] = None
     minimize_out: Optional[int] = None
     prev_const: Optional[float] = field(default=None, init=False, compare=False, repr=False)
@@ -167,8 +167,6 @@ class SurrogateSpec:
                 raise ValueError(f"minimize_out must be a block index, got {self.minimize_out}")
         if self.kind is SurrogateKind.BREGMAN and self.kernel is None:
             raise ValueError("bregman surrogate requires a kernel")
-        if self.smoothness_const is None:
-            raise ValueError(f"{self.kind.value} surrogate requires smoothness_const")
 
     def for_step(self, prev_const: Optional[float] = None) -> "SurrogateSpec":
         """Copy of this surrogate carrying one step's input.

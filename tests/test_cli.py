@@ -136,7 +136,7 @@ def test_one_build_problem_per_invocation(mode, tmp_path, capsys, monkeypatch):
 
 
 # Spans the benchmark's per-layer metrics are built from; each must be seen
-# in a traced full_lyapunov run.
+# in a traced full_lyapunov compare run.
 TRACED_SPANS = (
     "solver.lagrangian",
     "solver.compute_residuals",
@@ -147,6 +147,10 @@ TRACED_SPANS = (
     "surrogates.block0.update",
     "surrogates.block1.update",
     "surrogates.block2.update",
+    "proxlinear.run_proxlinear",
+    "proxlinear.prox_linear_step",
+    "proxlinear.power_iteration",
+    "proxlinear.apg_solve",
 )
 
 

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from madmm.data import make_rng, synthetic_generate
-from madmm.logistic import fitting_error, initial_state, phi_eval
+from madmm.logistic import fitting_error, initial_state, phi_eval, phi_jac_block_apply
 from madmm.model import soft_threshold
 from madmm.proxlinear import (
     CompositeModel,
@@ -181,6 +182,88 @@ def test_logistic_composite_model_parts():
     assert model.nonsmooth_eval(u) == pytest.approx(
         0.1 * np.abs(u[:5]).sum() + 0.2 * np.abs(u[5:10]).sum()
     )
+
+
+def _linear_scores(data, w):
+    # A^T w, as the linear part of the public score map.
+    return phi_eval(data, np.zeros(data.d), w, 0.0)
+
+
+def _blockwise_composite(data, lam1, lam2):
+    # The classifier model with its map and Jacobian actions rebuilt block by
+    # block from the public closed forms: two products per action.
+    d = data.d
+
+    def map_eval(xi):
+        return phi_eval(data, *unpack_blocks(xi, d))
+
+    def jac_at(xi):
+        x1 = xi[:d]
+        u = _linear_scores(data, x1)
+
+        def j_apply(v):
+            v1, v2, v3 = unpack_blocks(v, d)
+            return 2.0 * u * _linear_scores(data, v1) + _linear_scores(data, v2) + v3
+
+        def j_adjoint(s):
+            return np.concatenate([phi_jac_block_apply(data, i, x1, s) for i in range(3)])
+
+        return j_apply, j_adjoint
+
+    return replace(logistic_composite_model(data, lam1, lam2), map_eval=map_eval, jac_at=jac_at)
+
+
+@pytest.mark.parametrize("d, q", [(40, 7), (5, 7)])
+def test_logistic_jacobian_actions_match_blockwise_closed_forms(d, q):
+    data = synthetic_generate(d, q, make_rng(4))
+    model = logistic_composite_model(data, 0.01, 0.02)
+    reference = _blockwise_composite(data, 0.01, 0.02)
+    rng = make_rng(14)
+    xi = rng.standard_normal(model.dim)
+    v = rng.standard_normal(model.dim)
+    s = rng.standard_normal(q)
+
+    np.testing.assert_allclose(model.map_eval(xi), reference.map_eval(xi), rtol=1e-12)
+    j_apply, j_adjoint = model.jac_at(xi)
+    ref_apply, ref_adjoint = reference.jac_at(xi)
+    np.testing.assert_allclose(j_apply(v), ref_apply(v), rtol=1e-12)
+    np.testing.assert_allclose(j_adjoint(s), ref_adjoint(s), rtol=1e-12)
+
+    # One outer step agrees with the blockwise model's step, iteration for
+    # iteration.
+    tau = default_tau(data)
+    config = ProxLinearConfig(tau=tau)
+    x_new, _, inner = prox_linear_step(model, xi, tau, config, make_rng(5))
+    ref_new, _, ref_inner = prox_linear_step(reference, xi, tau, config, make_rng(5))
+    np.testing.assert_allclose(x_new, ref_new, rtol=1e-10)
+    assert inner == ref_inner
+
+
+def test_logistic_jacobian_actions_make_one_pass_over_a():
+    products = []
+
+    class CountingMatrix(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and method == "__call__":
+                products.append(ufunc)
+            plain = tuple(np.asarray(x) if isinstance(x, CountingMatrix) else x for x in inputs)
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    data = synthetic_generate(40, 7, make_rng(4))
+    object.__setattr__(data, "A", data.A.view(CountingMatrix))
+    model = logistic_composite_model(data, 0.01, 0.02)
+    rng = make_rng(15)
+    xi = rng.standard_normal(model.dim)
+    j_apply, j_adjoint = model.jac_at(xi)
+
+    def count(fn, arg):
+        products.clear()
+        fn(arg)
+        return len(products)
+
+    assert count(j_apply, rng.standard_normal(model.dim)) == 1
+    assert count(j_adjoint, rng.standard_normal(7)) == 1
+    assert count(model.map_eval, xi) == 1
 
 
 def test_default_tau_on_unit_columns():

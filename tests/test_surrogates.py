@@ -133,8 +133,8 @@ def test_surrogate_spec_validation():
         SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=0.5, smoothness_const=1.0)
     with pytest.raises(ValueError):
         SurrogateSpec(SurrogateKind.BREGMAN, smoothness_const=1.0)  # no kernel
-    with pytest.raises(ValueError):
-        SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT)  # no constant
+    with pytest.raises(TypeError):
+        SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT)  # no constant: a required field
 
 
 def test_minimize_out_is_validated():
