@@ -75,8 +75,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
     if args.data is not None:
-        with open(args.data, encoding="utf-8") as fh:
-            data = libsvm_parse(fh)
+        try:
+            with open(args.data, encoding="utf-8") as fh:
+                data = libsvm_parse(fh)
+        except UnicodeDecodeError as exc:
+            # A ValueError, so it would otherwise be reported as a config error.
+            raise DataError(f"{args.data} is not UTF-8 text: {exc}") from None
         return normalize_columns(data), args.data
     try:
         d_s, q_s = args.synthetic.lower().split("x")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Iterable
 
 import numpy as np
@@ -61,6 +62,14 @@ class Dataset:
             raise DataError(
                 f"labels must be -1 or +1; offending sample index {int(np.argmax(bad))}"
             )
+        nonfinite = ~np.isfinite(A)
+        if nonfinite.any():
+            sample = int(np.argmax(nonfinite.any(axis=0)))
+            feature = int(np.argmax(nonfinite[:, sample]))
+            raise DataError(
+                f"features must be finite; feature {feature} of sample {sample} "
+                f"is {A[feature, sample]}"
+            )
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -105,55 +114,70 @@ def libsvm_parse(source: str | IO[str] | Iterable[str]) -> Dataset:
     Lines look like ``label idx:val idx:val ...`` with 1-based, strictly
     increasing feature indices. ``d`` is the largest feature index seen.
     Labels in the {0,1} or {1,2} conventions are remapped onto {-1,+1}
-    with a logged notice. Both LF and CRLF line endings are accepted.
-    """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\r\n") for line in source]
+    with a logged notice. Blank lines are skipped; LF and CRLF line
+    endings and any run of spaces or tabs between tokens are accepted.
 
+    The source is read one line at a time: a file handle is iterated
+    lazily, never collected. Each line becomes one index array and one
+    value array, converted by one ``np.array`` call each (numpy applies
+    Python's ``int`` and ``float`` to every string, so both accept exactly
+    what those do), and no Python object is kept per entry. ``A`` is
+    allocated once ``d`` is known and filled one column per line.
+    """
+    lines = source.splitlines() if isinstance(source, str) else source
     labels: list[float] = []
-    rows: list[list[tuple[int, float]]] = []
+    columns: list[tuple[np.ndarray, np.ndarray]] = []
     d = 0
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        tokens = line.split()
+        if not tokens:
             continue
-        parts = line.split()
         try:
-            label = float(parts[0])
+            labels.append(float(tokens[0]))
         except ValueError:
-            raise DataError(f"line {lineno}: cannot parse label {parts[0]!r}") from None
-        entries: list[tuple[int, float]] = []
-        prev_idx = 0
-        for token in parts[1:]:
-            idx_s, _, val_s = token.partition(":")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise DataError(f"line {lineno}: malformed entry {token!r}") from None
-            if idx < 1:
-                raise DataError(f"line {lineno}: feature index {idx} is not 1-based")
-            if idx <= prev_idx:
-                raise DataError(
-                    f"line {lineno}: feature indices not strictly increasing at {token!r}"
-                )
-            prev_idx = idx
-            entries.append((idx, val))
-            d = max(d, idx)
-        labels.append(label)
-        rows.append(entries)
+            raise DataError(f"line {lineno}: cannot parse label {tokens[0]!r}") from None
+        del tokens[0]
+        idx, val = _parse_entries(lineno, tokens)
+        if idx.size:
+            d = max(d, int(idx[-1]))  # indices increase, so the last is the largest
+        columns.append((idx - 1, val))
 
-    if not rows:
+    if not columns:
         raise DataError("empty dataset: no samples found")
-    q = len(rows)
-    A = np.zeros((d, q))
-    for i, entries in enumerate(rows):
-        for idx, val in entries:
-            A[idx - 1, i] = val
+    A = np.zeros((d, len(columns)))
+    for i, (rows, values) in enumerate(columns):
+        A[rows, i] = values
     b = _remap_labels(np.asarray(labels, dtype=np.float64))
     return Dataset(A, b)
+
+
+def _parse_entries(lineno: int, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of one line's ``idx:val`` tokens, checked."""
+    if not tokens:  # a label-only line: an all-zero sample
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    if set(map(str.count, tokens, repeat(":"))) - {1}:
+        bad = next(t for t in tokens if t.count(":") != 1)
+        raise DataError(f"line {lineno}: malformed entry {bad!r}")
+    # Every token holds exactly one colon, so the pieces alternate idx, val.
+    pieces = ":".join(tokens).split(":")
+    try:
+        idx = np.array(pieces[0::2], dtype=np.int64)
+        val = np.array(pieces[1::2], dtype=np.float64)
+    except ValueError as exc:
+        raise DataError(f"line {lineno}: malformed entry ({exc})") from None
+    except OverflowError:
+        raise DataError(f"line {lineno}: a feature index does not fit in 64 bits") from None
+    # Report the first index that is below 1 or not above its predecessor.
+    if idx[0] < 1:
+        k = 0
+    else:
+        drops = np.flatnonzero(np.diff(idx) <= 0)
+        if not drops.size:
+            return idx, val
+        k = int(drops[0]) + 1
+    if idx[k] < 1:
+        raise DataError(f"line {lineno}: feature index {int(idx[k])} is not 1-based")
+    raise DataError(f"line {lineno}: feature indices not strictly increasing at {tokens[k]!r}")
 
 
 def libsvm_serialize(dataset: Dataset) -> str:
@@ -170,10 +194,14 @@ def libsvm_serialize(dataset: Dataset) -> str:
 
 def normalize_columns(dataset: Dataset) -> Dataset:
     """Return a Dataset whose feature columns have unit Euclidean norm."""
-    norms = dataset.column_norms
+    with np.errstate(over="ignore"):  # an overflowed norm is reported below
+        norms = dataset.column_norms
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise DataError(f"cannot normalize: column {int(zero[0])} is zero")
+    overflow = np.nonzero(~np.isfinite(norms))[0]
+    if overflow.size:
+        raise DataError(f"cannot normalize: the norm of column {int(overflow[0])} overflows")
     return Dataset(dataset.A / norms[np.newaxis, :], dataset.b)
 
 

@@ -7,11 +7,11 @@ the library's claims from outside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
-from madmm.data import make_rng
+from madmm.data import DataError, Dataset, _remap_labels, make_rng
 from madmm.model import (
     BlockVector,
     LinearMap,
@@ -218,3 +218,57 @@ def check_adjoint(B: LinearMap, trials: int = 100, seed: int = 0) -> bool:
         if abs(lhs - rhs) > 1e-10 * (1.0 + np.linalg.norm(u) * np.linalg.norm(v)):
             return False
     return True
+
+
+def reference_libsvm_parse(source: str | IO[str] | Iterable[str]) -> Dataset:
+    """Per-entry LIBSVM reader: the oracle ``libsvm_parse`` is checked against.
+
+    One ``(index, value)`` tuple per entry and one ``int()``/``float()``
+    call per token, checked token by token in reading order. Slow and
+    memory-hungry, but each step is plain to read.
+    """
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        lines = [line.rstrip("\r\n") for line in source]
+
+    labels: list[float] = []
+    rows: list[list[tuple[int, float]]] = []
+    d = 0
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise DataError(f"line {lineno}: cannot parse label {parts[0]!r}") from None
+        entries: list[tuple[int, float]] = []
+        prev_idx = 0
+        for token in parts[1:]:
+            idx_s, _, val_s = token.partition(":")
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise DataError(f"line {lineno}: malformed entry {token!r}") from None
+            if idx < 1:
+                raise DataError(f"line {lineno}: feature index {idx} is not 1-based")
+            if idx <= prev_idx:
+                raise DataError(
+                    f"line {lineno}: feature indices not strictly increasing at {token!r}"
+                )
+            prev_idx = idx
+            entries.append((idx, val))
+            d = max(d, idx)
+        labels.append(label)
+        rows.append(entries)
+
+    if not rows:
+        raise DataError("empty dataset: no samples found")
+    A = np.zeros((d, len(rows)))
+    for i, entries in enumerate(rows):
+        for idx, val in entries:
+            A[idx - 1, i] = val
+    return Dataset(A, _remap_labels(np.asarray(labels, dtype=np.float64)))

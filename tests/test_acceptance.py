@@ -354,7 +354,8 @@ def test_criterion_6_real_data_fits():
     for name, target in _REAL_TARGETS.items():
         path = _real_path(name)
         assert path is not None, f"{name} not found under {_DATA_DIR}"
-        data = normalize_columns(libsvm_parse(path))
+        with open(path, encoding="utf-8") as fh:
+            data = normalize_columns(libsvm_parse(fh))
         for seed in SEEDS:
             fit_m, _ = _madmm_fit(data, 0.001, 0.001, seed, budget=30.0)
             fit_p, _ = _prox_fit(data, 0.001, 0.001, seed, budget=30.0)

@@ -60,7 +60,7 @@ def test_resolve_budget_epsilon_rules():
         )
 
 
-def test_exit_code_3_on_data_errors(capsys):
+def test_exit_code_3_on_data_errors(capsys, tmp_path):
     code, _, err = _run(
         ["--mode", "madmm", "--data", "/definitely/not/here.libsvm", "--max-iters", "3"],
         capsys,
@@ -70,6 +70,19 @@ def test_exit_code_3_on_data_errors(capsys):
     assert code == 3 and "DxQ" in err
     code, _, err = _run(["--mode", "madmm", "--synthetic", "0x5", "--max-iters", "3"], capsys)
     assert code == 3
+    # Defects in the file's contents, each caught before either solver runs.
+    files = {
+        "nan.libsvm": (b"+1 1:1 2:nan\n-1 1:2 2:1\n", "feature 1 of sample 0"),
+        "inf.libsvm": (b"+1 1:1 2:1\n-1 1:-inf 2:1\n", "feature 0 of sample 1"),
+        "huge.libsvm": (b"+1 1:1e308 2:1e308\n-1 1:1 2:1\n", "column 0 overflows"),
+        "latin1.libsvm": (b"+1 1:1 2:\xff\n-1 1:1\n", "not UTF-8"),
+    }
+    for name, (content, needle) in files.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, err = _run(["--mode", "madmm", "--data", str(path), "--max-iters", "3"], capsys)
+        assert code == 3 and "data error" in err and needle in err, (name, err)
+        assert out == "", name
 
 
 # Each case must exit 2 before either solver starts.
