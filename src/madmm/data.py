@@ -7,6 +7,7 @@ feature vector of sample ``i``, and ``b[i]`` is its label in {-1, +1}.
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 from dataclasses import dataclass
 from itertools import repeat
@@ -114,8 +115,9 @@ def libsvm_parse(source: str | IO[str] | Iterable[str]) -> Dataset:
     Lines look like ``label idx:val idx:val ...`` with 1-based, strictly
     increasing feature indices. ``d`` is the largest feature index seen.
     Labels in the {0,1} or {1,2} conventions are remapped onto {-1,+1}
-    with a logged notice. Blank lines are skipped; LF and CRLF line
-    endings and any run of spaces or tabs between tokens are accepted.
+    with a logged notice. Blank lines are skipped; any run of spaces or
+    tabs between tokens is accepted. A ``str`` source is split into lines
+    as a text file is (universal newlines: at LF, CRLF and CR only).
 
     The source is read one line at a time: a file handle is iterated
     lazily, never collected. Each line becomes one index array and one
@@ -124,7 +126,7 @@ def libsvm_parse(source: str | IO[str] | Iterable[str]) -> Dataset:
     what those do), and no Python object is kept per entry. ``A`` is
     allocated once ``d`` is known and filled one column per line.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     labels: list[float] = []
     columns: list[tuple[np.ndarray, np.ndarray]] = []
     d = 0
@@ -144,7 +146,10 @@ def libsvm_parse(source: str | IO[str] | Iterable[str]) -> Dataset:
 
     if not columns:
         raise DataError("empty dataset: no samples found")
-    A = np.zeros((d, len(columns)))
+    try:
+        A = np.zeros((d, len(columns)))
+    except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+        raise DataError(f"a dense {d}x{len(columns)} feature matrix does not fit in memory") from None
     for i, (rows, values) in enumerate(columns):
         A[rows, i] = values
     b = _remap_labels(np.asarray(labels, dtype=np.float64))

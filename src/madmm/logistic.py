@@ -5,23 +5,25 @@ weights ``v``, linear weights ``u``, and intercept ``c``; the loss is the
 averaged logistic loss of the scores against labels in {-1, +1}, with l1
 penalties on both weight vectors. Splitting the scores into an auxiliary
 variable ``y`` (constraint: scores - y = 0, so the linear map is -I) puts
-this in the solver's composite form with m = 3 blocks:
+this in the solver's composite form with m = 3 blocks. Each block takes
+the same majorize-minimize step (see :mod:`madmm.surrogates`), searching
+below a closed-form ceiling once its previous step's constant is known:
 
-* block 0 (quadratic weights): Bregman surrogate over a quartic kernel
-  for F_c(x1), the smooth part of L_beta with the intercept minimized
-  out. The intercept shifts every score by the same amount, so its
-  minimizer is x3 - mean(w/beta + r) for the residual r; the step
-  centres the residual that way, solves the block subproblem in closed
-  form (:func:`l1_quartic_solve`), and moves the intercept to its
-  minimizer at the new x1 as part of the same step. The state-dependent
-  constant :func:`bregman_constant_x1` bounds F_c's curvature and is a
-  ceiling the solver backtracks below, since it sums worst-case
-  per-sample caps.
-* block 1 (linear weights): Lipschitz-gradient surrogate, soft-threshold
-  prox, constant beta * sum_i ||a_i||^2.
-* block 2 (intercept): Lipschitz-gradient surrogate, constant beta * q.
-  The smooth part is quadratic in x3 with that curvature, so the step
-  minimizes x3 exactly again after x2 has moved.
+* block 0 (quadratic weights): quartic kernel, for F_c(x1), the smooth
+  part of L_beta with the intercept minimized out. The intercept shifts
+  every score by the same amount, so its minimizer is
+  x3 - mean(w/beta + r) for the residual r; the step centres the residual
+  that way, solves the block subproblem in closed form
+  (:func:`l1_quartic_solve`), and moves the intercept to its minimizer at
+  the new x1 as part of the same step. The ceiling
+  :func:`bregman_constant_x1` bounds F_c's curvature and depends on the
+  state; it sums worst-case per-sample caps.
+* block 1 (linear weights): quadratic kernel, so the subproblem is the
+  soft-threshold prox; ceiling beta * sum_i ||a_i||^2.
+* block 2 (intercept): quadratic kernel, ceiling beta * q. The smooth
+  part is quadratic in x3 with exactly that curvature, so a step at the
+  ceiling minimizes x3 exactly again after x2 has moved, and a try below
+  it fails its test unless the step is at rounding level.
 
 The setup from :func:`build_problem` reads the products A^T x1 and A^T x2
 from one score state that forms each only when its block changes, so a
@@ -50,7 +52,6 @@ from .model import (
 )
 from .surrogates import (
     BlockSubproblem,
-    SurrogateKind,
     SurrogateSpec,
     quartic_kernel,
 )
@@ -318,22 +319,13 @@ def build_problem(
     )
     surrogates = (
         SurrogateSpec(
-            kind=SurrogateKind.BREGMAN,
             kappa=kappa1,
             smoothness_const=scores.const_block0,
             kernel=quartic_kernel(),
             minimize_out=2,
         ),
-        SurrogateSpec(
-            kind=SurrogateKind.LIPSCHITZ_GRADIENT,
-            kappa=1.0,
-            smoothness_const=lambda spec, x, y, w, beta: beta * col_sq_sum,
-        ),
-        SurrogateSpec(
-            kind=SurrogateKind.LIPSCHITZ_GRADIENT,
-            kappa=1.0,
-            smoothness_const=lambda spec, x, y, w, beta: beta * q,
-        ),
+        SurrogateSpec(kappa=1.0, smoothness_const=lambda spec, x, y, w, beta: beta * col_sq_sum),
+        SurrogateSpec(kappa=1.0, smoothness_const=lambda spec, x, y, w, beta: beta * q),
     )
     return LogisticSetup(
         data=data,

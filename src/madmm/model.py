@@ -195,10 +195,10 @@ class BlockNonsmooth:
 
     ``eval`` returns None to signal +infinity (iterate outside the domain);
     arithmetic never sees floating-point infinities. ``prox`` solves
-    argmin_u g_i(u) + (1/(2t)) ||u - v||^2 for a Lipschitz-gradient
-    surrogate; ``custom_solver`` solves a Bregman surrogate's subproblem
-    (see surrogates module); ``is_convex`` gates the convexity-based
-    diagnostics.
+    argmin_u g_i(u) + (1/(2t)) ||u - v||^2, the block subproblem under the
+    quadratic kernel; ``custom_solver`` solves the subproblem under any
+    kernel and takes precedence (see surrogates module); ``is_convex``
+    gates the convexity-based diagnostics.
     """
 
     eval: Callable[[np.ndarray], Optional[float]]

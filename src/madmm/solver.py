@@ -290,7 +290,7 @@ def run(
     lyap_val = math.nan
     k_done = 0
 
-    # Constant each block's last step accepted (Bregman steps start their
+    # Constant each block's last step accepted (the next step starts its
     # search below the ceiling from it).
     prev_const: list[Optional[float]] = [None] * spec.m
 

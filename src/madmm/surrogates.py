@@ -2,27 +2,28 @@
 
 A surrogate for block ``i`` majorizes the smooth-in-x part of the augmented
 Lagrangian as a function of that block, touching it at the current iterate.
-Two families are supported:
+Every block uses one family, the Bregman surrogate
 
-* ``LIPSCHITZ_GRADIENT`` u(v) = smooth(z) + <grad, v - z_i> + (kappa*L/2)|v - z_i|^2
-  with L the gradient Lipschitz bound
-* ``BREGMAN``           u(v) = smooth(z) + <grad, v - z_i> + kappa*L*D(v, z_i)
-  with L a relative-smoothness constant for the kernel's geometry
+    u(v) = smooth(z) + <grad, v - z_i> + kappa*L*D(v, z_i)
 
-where D is the Bregman divergence of the chosen kernel. The approximation
-error u - smooth admits the lower bound eta * D with eta = (kappa - 1) * L,
-which is what the solver's sufficient-decrease accounting consumes.
+where D is the Bregman divergence of the surrogate's kernel and L a
+relative-smoothness constant for the kernel's geometry. The default
+kernel is the quadratic one, D(v, z) = (1/2)||v - z||^2, under which L is
+a gradient Lipschitz bound and the subproblem is the block's prox. The
+approximation error u - smooth admits the lower bound eta * D with
+eta = (kappa - 1) * L, which is what the solver's sufficient-decrease
+accounting consumes.
 
-A Bregman surrogate backtracks on L once a previous step's constant is
-known: its closed-form constant is then a ceiling, and each step searches
-below it for a constant under which the surrogate majorizes at the new
-point (see :func:`mm_block_update`).
+Each step backtracks on L once a previous step's constant is known: the
+closed-form constant is then a ceiling, and the step searches below it
+for a constant under which the surrogate majorizes at the new point (see
+:func:`mm_block_update`).
 
-A Bregman surrogate may also minimize out a second block j, an intercept
-that shifts every component of phi by its value (partial minimization,
-or variable projection). Its step then majorizes the smooth part with
-block j at its exact minimizer, F_c(v) = min over x_j, and returns block
-j's minimizer at the new point along with the new block. The merged
+A surrogate may also minimize out a second block j, an intercept that
+shifts every component of phi by its value (partial minimization, or
+variable projection). Its step then majorizes the smooth part with block
+j at its exact minimizer, F_c(v) = min over x_j, and returns block j's
+minimizer at the new point along with the new block. The merged
 surrogate F(v, x_j) - F_c(v) + M(v), with M the Bregman majorizer of F_c,
 majorizes the smooth part in both blocks and touches it at the anchor,
 so the error bound eta * D in block i still holds for the pair.
@@ -30,7 +31,6 @@ so the error bound eta * D in block i still holds for the pair.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -45,7 +45,7 @@ from .model import (
     smooth_part_value,
 )
 
-# Backtracking on a Bregman block's constant: each step starts from the
+# Backtracking on a block's constant: each step starts from the
 # previously accepted constant times BACKTRACK_DECREASE and multiplies by
 # BACKTRACK_GROWTH (capped at the closed-form ceiling) after a failed test.
 # It never starts below BACKTRACK_MIN_RATIO times the ceiling, which keeps
@@ -60,11 +60,6 @@ ETA_FLOOR = 1e-8
 
 class SurrogateError(Exception):
     """A block subproblem could not be set up or solved."""
-
-
-class SurrogateKind(enum.Enum):
-    LIPSCHITZ_GRADIENT = "lipschitz_gradient"
-    BREGMAN = "bregman"
 
 
 @dataclass(frozen=True)
@@ -85,13 +80,26 @@ class BregmanKernel:
             raise ValueError("kernel strong convexity must be positive")
 
 
+def _half_squared_distance(x: np.ndarray, z: np.ndarray) -> float:
+    d = x - z
+    return 0.5 * float(d @ d)
+
+
+_QUADRATIC_KERNEL = BregmanKernel(
+    eval=lambda v: 0.5 * float(v @ v),
+    grad=lambda v: np.asarray(v, dtype=np.float64),
+    strong_convexity=1.0,
+    divergence=_half_squared_distance,
+)
+
+
 def quadratic_kernel() -> BregmanKernel:
-    """Kernel (1/2)||v||^2; its divergence is (1/2)||v - z||^2."""
-    return BregmanKernel(
-        eval=lambda v: 0.5 * float(v @ v),
-        grad=lambda v: np.asarray(v, dtype=np.float64),
-        strong_convexity=1.0,
-    )
+    """Kernel (1/2)||v||^2; its divergence is (1/2)||v - z||^2.
+
+    Always the same object: a step under it may solve its subproblem with
+    the block's prox.
+    """
+    return _QUADRATIC_KERNEL
 
 
 def quartic_kernel() -> BregmanKernel:
@@ -139,40 +147,37 @@ class SurrogateSpec:
     ``(spec, x, y, w, beta) -> float`` re-evaluated at every outer
     iteration for state-dependent constants.
 
-    ``minimize_out`` names a block j that a Bregman step minimizes out
-    (see the module docstring). Block j must be a scalar added to every
-    component of phi with nothing else depending on it, g_j must be zero,
-    and the problem may have no coupling term f; its smoothness constant
-    must bound the curvature of the smooth part with block j minimized
-    out.
+    ``kernel`` defaults to the quadratic kernel, whose subproblem the
+    block's prox solves; any other kernel needs the block's
+    ``custom_solver``.
+
+    ``minimize_out`` names a block j that the step minimizes out (see the
+    module docstring). Block j must be a scalar added to every component
+    of phi with nothing else depending on it, g_j must be zero, and the
+    problem may have no coupling term f; its smoothness constant must
+    bound the curvature of the smooth part with block j minimized out.
 
     ``prev_const`` describes one step and cannot be set at construction;
     :meth:`for_step` returns a copy that carries it.
     """
 
-    kind: SurrogateKind
     smoothness_const: ConstOrCallback
     kappa: float = 1.1
-    kernel: Optional[BregmanKernel] = None
+    kernel: BregmanKernel = _QUADRATIC_KERNEL
     minimize_out: Optional[int] = None
     prev_const: Optional[float] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kappa < 1.0:
             raise ValueError("kappa must be >= 1")
-        if self.minimize_out is not None:
-            if self.kind is not SurrogateKind.BREGMAN:
-                raise ValueError("only a bregman surrogate can minimize out a block")
-            if self.minimize_out < 0:
-                raise ValueError(f"minimize_out must be a block index, got {self.minimize_out}")
-        if self.kind is SurrogateKind.BREGMAN and self.kernel is None:
-            raise ValueError("bregman surrogate requires a kernel")
+        if self.minimize_out is not None and self.minimize_out < 0:
+            raise ValueError(f"minimize_out must be a block index, got {self.minimize_out}")
 
     def for_step(self, prev_const: Optional[float] = None) -> "SurrogateSpec":
         """Copy of this surrogate carrying one step's input.
 
         ``prev_const`` is the constant this block's previous step accepted
-        (a Bregman step starts its search below the ceiling from it).
+        (the step starts its search below the ceiling from it).
         """
         # A plain attribute copy: the solver calls this for every block
         # step, and the fields were validated when ``self`` was built.
@@ -252,44 +257,31 @@ def mm_block_update(
 ) -> BlockUpdateResult:
     """Minimize (surrogate for block i) + g_i and report decrease data.
 
-    A Bregman surrogate tries L = BACKTRACK_DECREASE * ``prev_const``
-    first (the ceiling itself when there is no previous constant) and
-    accepts it when
+    The step tries L = BACKTRACK_DECREASE * ``prev_const`` first (the
+    ceiling itself when there is no previous constant) and accepts it when
 
         smooth(x_new) <= smooth(z) + <grad, x_new - z> + L * D(x_new, z),
 
     otherwise it grows L by BACKTRACK_GROWTH and solves again. The
     closed-form ceiling is a certified constant and is accepted untested.
     The accepted L sets eta = (kappa - 1) L, so the step keeps the
-    sufficient decrease the solver's ledger checks. With
-    ``surrogate.minimize_out`` set, smooth and its gradient are those
-    of F_c (block ``out`` at its minimizer) and the result's ``x_out``
-    carries that block's minimizer at ``x_new``; the caller replaces
-    both blocks.
+    sufficient decrease the solver's ledger checks. The subproblem goes
+    to the block's ``custom_solver`` when it has one, and otherwise, under
+    the quadratic kernel, to its prox. With ``surrogate.minimize_out``
+    set, smooth and its gradient are those of F_c (block ``out`` at its
+    minimizer) and the result's ``x_out`` carries that block's minimizer
+    at ``x_new``; the caller replaces both blocks.
     """
     z_i = x.blocks[i]
     g = spec.gs[i]
-    L = surrogate.const_at(spec, x, y, w, beta)
-
-    if surrogate.kind is SurrogateKind.LIPSCHITZ_GRADIENT:
-        if g.prox is None:
-            raise SurrogateError(f"no prox available for block {i}")
-        grad = smooth_part_block_grad(spec, i, x, y, w, beta)
-        coeff = surrogate.kappa * L
-        x_new = np.atleast_1d(g.prox(z_i - grad / coeff, 1.0 / coeff))
-        delta = x_new - z_i
-        surrogate_grad = grad + coeff * delta
-        eta = max((surrogate.kappa - 1.0) * L, ETA_FLOOR)
-        divergence = 0.5 * float(delta @ delta)
-        return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, L)
-
-    if g.custom_solver is None:
-        raise SurrogateError(f"bregman surrogate for block {i} needs a custom solver")
+    kernel = surrogate.kernel
+    solver = g.custom_solver
+    if solver is None and (g.prox is None or kernel is not _QUADRATIC_KERNEL):
+        raise SurrogateError(f"block {i} needs a custom solver, or a prox under the quadratic kernel")
     out = surrogate.minimize_out
     if out is not None:
         _check_minimize_out(i, out, spec)
-    kernel = surrogate.kernel
-    ceiling = L
+    ceiling = L = surrogate.const_at(spec, x, y, w, beta)
     if surrogate.prev_const is not None:
         start = BACKTRACK_DECREASE * surrogate.prev_const
         L = min(max(start, BACKTRACK_MIN_RATIO * ceiling), ceiling)
@@ -308,8 +300,11 @@ def mm_block_update(
     shift = None
     while True:
         coeff = surrogate.kappa * L
-        sub = BlockSubproblem(z_i, grad, coeff, kernel)
-        x_new = np.atleast_1d(g.custom_solver(sub))
+        if solver is None:
+            x_new = g.prox(z_i - grad / coeff, 1.0 / coeff)
+        else:
+            x_new = solver(BlockSubproblem(z_i, grad, coeff, kernel))
+        x_new = np.atleast_1d(x_new)
         divergence = bregman_divergence(kernel, x_new, z_i)
         if L >= ceiling:
             break

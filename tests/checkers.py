@@ -20,12 +20,7 @@ from madmm.model import (
     smooth_part_block_grad,
     smooth_part_value,
 )
-from madmm.surrogates import (
-    SurrogateKind,
-    SurrogateSpec,
-    bregman_divergence,
-    quadratic_kernel,
-)
+from madmm.surrogates import SurrogateSpec, bregman_divergence, quadratic_kernel
 from madmm.trace import TraceRecord
 
 
@@ -56,10 +51,7 @@ def surrogate_value(
     grad = smooth_part_block_grad(spec, i, x, y, w, beta, r)
     L = surrogate.const_at(spec, x, y, w, beta) if smoothness is None else smoothness
     lin = base + float(grad @ (v - z_i))
-    if surrogate.kind is SurrogateKind.BREGMAN:
-        return lin + surrogate.kappa * L * bregman_divergence(surrogate.kernel, v, z_i)
-    d = v - z_i
-    return lin + 0.5 * surrogate.kappa * L * float(d @ d)
+    return lin + surrogate.kappa * L * bregman_divergence(surrogate.kernel, v, z_i)
 
 
 @dataclass
@@ -93,12 +85,12 @@ def verify_surrogate_conditions(
     """Check majorization, tangency, and the error lower bound at probes.
 
     Also checks strong convexity of the subproblem objective (the route
-    that applies to convex g_i under quadratic-type surrogates) when that
-    is the configured situation. Violations are reported, not thrown.
+    that applies to convex g_i under the quadratic kernel) when that is
+    the configured situation. Violations are reported, not thrown.
 
     ``smoothness`` is the constant L under test; it defaults to the
     closed-form constant ``surrogate.const_at``, which is the ceiling of
-    a Bregman step's search. A constant that a Bregman step accepted below
+    a step's search. A constant that a step accepted below
     the ceiling (``BlockUpdateResult.smoothness``) is certified at
     ``x_new`` only, not at random probes, so check it with
     ``n_probes=0``.
@@ -145,7 +137,6 @@ def verify_surrogate_conditions(
 
     L = surrogate.const_at(spec, x, y, w, beta) if smoothness is None else smoothness
     eta = (surrogate.kappa - 1.0) * L
-    kernel = surrogate.kernel if surrogate.kind is SurrogateKind.BREGMAN else quadratic_kernel()
     diag.eta = eta
     if eta <= 0.0:
         diag.positive_eta = False
@@ -154,7 +145,7 @@ def verify_surrogate_conditions(
         )
 
     x_new = np.atleast_1d(np.asarray(x_new, dtype=np.float64))
-    D = bregman_divergence(kernel, x_new, z_i)
+    D = bregman_divergence(surrogate.kernel, x_new, z_i)
     diag.divergence = D
     err = u_at(x_new) - smooth_at(x_new)
     if err < eta * D - tol * (1.0 + abs(err)):
@@ -162,7 +153,7 @@ def verify_surrogate_conditions(
         diag.violations.append(f"error bound: e={err:.3e} < eta*D={eta * D:.3e}")
 
     g = spec.gs[i]
-    if g.is_convex and surrogate.kind is SurrogateKind.LIPSCHITZ_GRADIENT:
+    if g.is_convex and surrogate.kernel is quadratic_kernel():
         sigma = surrogate.kappa * L
         ok = True
         for _ in range(20):

@@ -40,7 +40,7 @@ from madmm.model import (
 )
 from madmm.proxlinear import ProxLinearConfig, pack_blocks, run_proxlinear, unpack_blocks
 from madmm.solver import SolverConfig, run
-from madmm.surrogates import SurrogateKind, SurrogateSpec, quartic_kernel
+from madmm.surrogates import SurrogateSpec, quartic_kernel
 from madmm.cli import main as cli_main
 from madmm.trace import read_trace
 
@@ -303,7 +303,7 @@ def test_criterion_5_trivial_problem_exactness():
         lower_bound_hint=0.0,
     )
     beta = 8.0
-    surro = [SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=1.1, smoothness_const=1.0 + beta)]
+    surro = [SurrogateSpec(kappa=1.1, smoothness_const=1.0 + beta)]
     rng = make_rng(55)
     worst_resid, worst_dist, worst_iters = 0.0, 0.0, 0
     for _ in range(10):

@@ -76,6 +76,8 @@ def test_exit_code_3_on_data_errors(capsys, tmp_path):
         "inf.libsvm": (b"+1 1:1 2:1\n-1 1:-inf 2:1\n", "feature 0 of sample 1"),
         "huge.libsvm": (b"+1 1:1e308 2:1e308\n-1 1:1 2:1\n", "column 0 overflows"),
         "latin1.libsvm": (b"+1 1:1 2:\xff\n-1 1:1\n", "not UTF-8"),
+        # Index 2**61: numpy refuses the d x q shape before allocating.
+        "too-wide.libsvm": (b"+1 2305843009213693952:1\n-1 1:1\n+1 1:2\n-1 1:3\n", "2305843009213693952x4"),
     }
     for name, (content, needle) in files.items():
         path = tmp_path / name

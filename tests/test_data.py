@@ -221,6 +221,29 @@ def test_libsvm_round_trip_with_blank_lines_and_crlf(tmp_path):
         assert libsvm_parse(fh).checksum() == ds.checksum()
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("+1 1:1\x0c-1 1:2\n-1 1:3\n", "line 1: malformed entry '-1'"),
+        ("+1 1:1\u2028-1 1:2\n", "line 1: malformed entry '-1'"),
+        ("+1 1:1\r-1 1:2\r-1 1:3\r", 3),
+    ],
+)
+def test_libsvm_str_source_splits_lines_as_a_file_does(tmp_path, text, expected):
+    # Form feed and U+2028 end a line for str.splitlines() but not for a
+    # text file; a lone CR ends one for both.
+    def outcome(source):
+        try:
+            return libsvm_parse(source).q
+        except DataError as exc:
+            return str(exc)
+
+    path = tmp_path / "data.libsvm"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as fh:
+        assert outcome(fh) == outcome(text) == expected
+
+
 def test_libsvm_round_trip():
     ds = synthetic_generate(7, 5, make_rng(3))
     again = libsvm_parse(libsvm_serialize(ds))

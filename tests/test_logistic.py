@@ -29,6 +29,7 @@ from madmm.solver import SolverConfig, check_beta_condition, dual_update, run, y
 from madmm.surrogates import (
     bregman_divergence,
     mm_block_update,
+    quadratic_kernel,
     quartic_kernel,
 )
 
@@ -432,6 +433,32 @@ def test_merged_block0_step_keeps_the_ledger_inequality():
         assert res.violations == []
 
 
+def test_linear_weights_block_searches_below_its_ceiling(monkeypatch):
+    # With lambda2 small enough for x2 to move, block 1's steps accept
+    # constants below its closed-form ceiling beta * sum ||a_i||^2, and
+    # every step still certifies its decrease.
+    data = synthetic_generate(40, 15, make_rng(5))
+    setup = build_problem(data, 0.01, 0.001)
+    beta = default_beta(data.q)
+    ceiling = beta * float(np.sum(data.column_norms**2))
+    accepted = []
+
+    def recording(i, surrogate, spec, x, y, w, b):
+        res = mm_block_update(i, surrogate, spec, x, y, w, b)
+        if i == 1:
+            accepted.append(res.smoothness)
+        return res
+
+    monkeypatch.setattr("madmm.solver.mm_block_update", recording)
+    x0, y0, w0 = initial_state(data, 5)
+    config = SolverConfig(beta=beta, max_outer_iters=50, diagnostics_level="full_lyapunov")
+    res = run(setup.spec, setup.surrogates, x0, y0, w0, config)
+    assert res.violations == []
+    assert accepted[0] == ceiling
+    assert min(accepted) < 0.9 * ceiling
+    assert float(np.abs(res.x.blocks[1]).sum()) > 0.0
+
+
 def test_fitting_error_at_origin_is_log_two():
     data = _toy_data()
     got = fitting_error(data, np.zeros(data.d), np.zeros(data.d), 0.0, 0.5, 0.5)
@@ -468,8 +495,10 @@ def test_build_problem_wiring_and_validation():
     assert setup.spec.B.scale == -1.0
     assert setup.spec.h.lipschitz_const == pytest.approx(1.0 / (4.0 * data.q))
     assert setup.spec.lower_bound_hint == 0.0
-    kinds = [s.kind.value for s in setup.surrogates]
-    assert kinds == ["bregman", "lipschitz_gradient", "lipschitz_gradient"]
+    # Block 0 steps under the quartic kernel with the intercept minimized
+    # out; blocks 1 and 2 under the default quadratic kernel, through their prox.
+    assert [s.kernel is quadratic_kernel() for s in setup.surrogates] == [False, True, True]
+    assert [s.minimize_out for s in setup.surrogates] == [2, None, None]
     x, y, w = initial_state(data, 0)
     col_sq = float(np.sum(data.column_norms**2))
     assert setup.surrogates[1].const_at(setup.spec, x, y, w, 2.0) == pytest.approx(

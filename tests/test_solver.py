@@ -31,7 +31,7 @@ from madmm.solver import (
     run,
     y_update,
 )
-from madmm.surrogates import SurrogateKind, SurrogateSpec
+from madmm.surrogates import SurrogateSpec
 
 
 def _identity_phi(n):
@@ -68,7 +68,7 @@ def _consensus_quadratic(n, f_curv=1.0):
 
 
 def _lg_surrogate(L, kappa=1.1):
-    return SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=kappa, smoothness_const=L)
+    return SurrogateSpec(kappa=kappa, smoothness_const=L)
 
 
 def test_config_validation():

@@ -17,12 +17,12 @@ from madmm.model import (
     l1_nonsmooth,
     scaled_identity_map,
     smooth_part_value,
+    soft_threshold,
     zero_nonsmooth,
 )
 from madmm.surrogates import (
     BACKTRACK_MIN_RATIO,
     SurrogateError,
-    SurrogateKind,
     SurrogateSpec,
     bregman_divergence,
     mm_block_update,
@@ -130,20 +130,17 @@ def test_bregman_divergence_shape_mismatch():
 
 def test_surrogate_spec_validation():
     with pytest.raises(ValueError):
-        SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=0.5, smoothness_const=1.0)
-    with pytest.raises(ValueError):
-        SurrogateSpec(SurrogateKind.BREGMAN, smoothness_const=1.0)  # no kernel
+        SurrogateSpec(kappa=0.5, smoothness_const=1.0)
     with pytest.raises(TypeError):
-        SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT)  # no constant: a required field
+        SurrogateSpec()  # no constant: a required field
+    assert SurrogateSpec(smoothness_const=1.0).kernel is quadratic_kernel()
 
 
 def test_minimize_out_is_validated():
     kernel = quartic_kernel()
-    # Only a Bregman step minimizes out a block, and the field is an index.
-    with pytest.raises(ValueError, match="only a bregman"):
-        SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, smoothness_const=1.0, minimize_out=1)
+    # The field is a block index.
     with pytest.raises(ValueError, match="block index"):
-        SurrogateSpec(SurrogateKind.BREGMAN, smoothness_const=1.0, kernel=kernel, minimize_out=-1)
+        SurrogateSpec(smoothness_const=1.0, kernel=kernel, minimize_out=-1)
 
     # Two blocks, the second an intercept: phi(x) = x_0 + x_1 1.
     g = BlockNonsmooth(eval=lambda v: 0.0, custom_solver=lambda sub: sub.z_i, is_convex=True)
@@ -163,9 +160,7 @@ def test_minimize_out_is_validated():
     w = np.zeros(3)
 
     def step(out, on=spec):
-        sur = SurrogateSpec(
-            SurrogateKind.BREGMAN, smoothness_const=1.0, kernel=kernel, minimize_out=out
-        )
+        sur = SurrogateSpec(smoothness_const=1.0, kernel=kernel, minimize_out=out)
         return mm_block_update(0, sur, on, x, y, w, 1.0)
 
     with pytest.raises(SurrogateError, match="itself"):
@@ -209,7 +204,7 @@ def _single_block_spec(n, shift=None, g=None):
 def test_mm_update_exact_gradient_step_lands_on_target():
     c = np.array([1.5, -2.0, 0.25])
     spec = _single_block_spec(3, shift=c)
-    sur = SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=1.0, smoothness_const=1.0)
+    sur = SurrogateSpec(kappa=1.0, smoothness_const=1.0)
     x = BlockVector([np.array([5.0, 5.0, 5.0])])
     res = mm_block_update(0, sur, spec, x, np.zeros(3), np.zeros(3), 1.0)
     np.testing.assert_allclose(res.x_new, c, atol=1e-14)
@@ -223,7 +218,7 @@ def test_mm_update_soft_threshold_case():
     # Gradient at z equals w when the residual vanishes; with unit kappa*L
     # the step is a soft-threshold of -w at the l1 weight.
     spec = _single_block_spec(2, g=l1_nonsmooth(1.0))
-    sur = SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=1.0, smoothness_const=1.0)
+    sur = SurrogateSpec(kappa=1.0, smoothness_const=1.0)
     x = BlockVector([np.zeros(2)])
     w = np.array([2.0, -0.5])
     res = mm_block_update(0, sur, spec, x, np.zeros(2), w, 1.0)
@@ -234,7 +229,7 @@ def test_mm_update_prox_route_matches_scalar_loop_oracle():
     rng = make_rng(17)
     lam = 0.35
     spec = _single_block_spec(6, shift=rng.standard_normal(6), g=l1_nonsmooth(lam))
-    sur = SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=1.3, smoothness_const=2.0)
+    sur = SurrogateSpec(kappa=1.3, smoothness_const=2.0)
     x = BlockVector([rng.standard_normal(6)])
     y = rng.standard_normal(6)
     w = rng.standard_normal(6)
@@ -267,18 +262,19 @@ def test_mm_update_prox_route_matches_scalar_loop_oracle():
 
 
 def test_mm_update_raises_without_prox_or_solver():
-    g = BlockNonsmooth(eval=lambda v: 0.0)
-    spec = _single_block_spec(2, g=g)
-    sur = SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=1.0, smoothness_const=1.0)
+    # A block with neither a prox nor a custom solver cannot step under
+    # any kernel, and a prox alone does not solve a non-quadratic kernel.
+    message = "block 0 needs a custom solver, or a prox under the quadratic kernel"
+    spec = _single_block_spec(2, g=BlockNonsmooth(eval=lambda v: 0.0))
     x = BlockVector([np.zeros(2)])
-    with pytest.raises(SurrogateError, match="no prox"):
-        mm_block_update(0, sur, spec, x, np.zeros(2), np.zeros(2), 1.0)
-    sur_b = SurrogateSpec(
-        SurrogateKind.BREGMAN, kappa=1.1, smoothness_const=1.0, kernel=quartic_kernel()
-    )
-    spec_b = _single_block_spec(2, g=l1_nonsmooth(1.0))
-    with pytest.raises(SurrogateError, match="custom solver"):
-        mm_block_update(0, sur_b, spec_b, x, np.zeros(2), np.zeros(2), 1.0)
+    for kernel in (quadratic_kernel(), quartic_kernel()):
+        sur = SurrogateSpec(kappa=1.1, smoothness_const=1.0, kernel=kernel)
+        with pytest.raises(SurrogateError, match=message):
+            mm_block_update(0, sur, spec, x, np.zeros(2), np.zeros(2), 1.0)
+    sur_q = SurrogateSpec(kappa=1.1, smoothness_const=1.0, kernel=quartic_kernel())
+    spec_l1 = _single_block_spec(2, g=l1_nonsmooth(1.0))
+    with pytest.raises(SurrogateError, match=message):
+        mm_block_update(0, sur_q, spec_l1, x, np.zeros(2), np.zeros(2), 1.0)
 
 
 def test_bregman_backtracking_grows_from_warm_start_until_majorized():
@@ -295,12 +291,7 @@ def test_bregman_backtracking_grows_from_warm_start_until_majorized():
     x = BlockVector([rng.standard_normal(4)])
     y = rng.standard_normal(4)
     w = rng.standard_normal(4)
-    sur = SurrogateSpec(
-        SurrogateKind.BREGMAN,
-        kappa=1.5,
-        smoothness_const=10.0,
-        kernel=quadratic_kernel(),
-    )
+    sur = SurrogateSpec(kappa=1.5, smoothness_const=10.0)
 
     # No previous constant: the ceiling, untested.
     first = mm_block_update(0, sur, spec, x, y, w, 1.0)
@@ -338,14 +329,39 @@ def test_bregman_backtracking_grows_from_warm_start_until_majorized():
     assert floor.smoothness == pytest.approx(10.0 * BACKTRACK_MIN_RATIO)
 
 
+def test_exactly_quadratic_block_accepts_its_ceiling_on_every_step():
+    # Criterion 5's shape: f = (1/2)||x||^2 and phi(x) = x, so the smooth
+    # part's curvature is exactly the ceiling 1 + beta. Every try below it
+    # fails its test, and each step lands on the closed-form gradient step.
+    n, beta, kappa = 6, 8.0, 1.1
+    ceiling = 1.0 + beta
+    f = BlockSmoothTerm(
+        eval=lambda x: 0.5 * float(x.blocks[0] @ x.blocks[0]),
+        block_grad=lambda i, x: x.blocks[i].copy(),
+    )
+    spec = replace(_single_block_spec(n), smooth_f=f)
+    sur = SurrogateSpec(kappa=kappa, smoothness_const=ceiling)
+    rng = make_rng(57)
+    x = BlockVector([2.0 * rng.standard_normal(n)])
+    prev = None
+    for _ in range(10):
+        y = rng.standard_normal(n)
+        w = rng.standard_normal(n)
+        res = mm_block_update(0, sur.for_step(prev), spec, x, y, w, beta)
+        z = x.blocks[0]
+        grad = z + w + beta * (z - y)
+        assert res.smoothness == ceiling
+        np.testing.assert_allclose(res.x_new, z - grad / (kappa * ceiling), rtol=1e-13, atol=1e-15)
+        prev = res.smoothness
+        x = BlockVector([res.x_new])
+
+
 def test_step_inputs_are_not_part_of_the_surrogate_config():
     # prev_const describes one step: it cannot be set at construction, and
     # a copy made with replace() drops it.
     with pytest.raises(TypeError):
-        SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, smoothness_const=1.0, prev_const=0.5)
-    sur = SurrogateSpec(
-        SurrogateKind.BREGMAN, kappa=1.5, smoothness_const=10.0, kernel=quadratic_kernel()
-    )
+        SurrogateSpec(smoothness_const=1.0, prev_const=0.5)
+    sur = SurrogateSpec(kappa=1.5, smoothness_const=10.0)
     step = sur.for_step(0.1)
     assert sur.prev_const is None
     assert step.prev_const == 0.1 and step == sur
@@ -365,9 +381,7 @@ def test_verify_conditions_checks_the_constant_a_step_accepted():
     x = BlockVector([rng.standard_normal(4)])
     y = rng.standard_normal(4)
     w = rng.standard_normal(4)
-    sur = SurrogateSpec(
-        SurrogateKind.BREGMAN, kappa=1.5, smoothness_const=10.0, kernel=quadratic_kernel()
-    )
+    sur = SurrogateSpec(kappa=1.5, smoothness_const=10.0)
     res = mm_block_update(0, sur.for_step(0.1), spec, x, y, w, 1.0)
     assert res.smoothness < 10.0
     accepted = verify_surrogate_conditions(
@@ -384,32 +398,35 @@ def test_verify_conditions_checks_the_constant_a_step_accepted():
     assert not low.majorization_ok and not low.error_bound_ok
 
 
-def test_bregman_with_quadratic_kernel_agrees_with_lipschitz_route():
-    # With the quadratic kernel the Bregman surrogate coincides with the
-    # Lipschitz-gradient one, so a closed-form custom solver must land on
-    # exactly the same point and report the same decrease data.
+def test_prox_route_and_custom_solver_give_the_same_step():
+    # Under the quadratic kernel the prox solves the subproblem, so a custom
+    # solver that implements the same prox must land on the same point and
+    # report the same decrease data, at the ceiling and below it.
     rng = make_rng(31)
+    lam = 0.2
     c = rng.standard_normal(4)
 
     def solve(sub):
-        return sub.z_i - sub.grad / sub.coeff
+        return soft_threshold(sub.z_i - sub.grad / sub.coeff, lam / sub.coeff)
 
-    g = BlockNonsmooth(eval=lambda v: 0.0, custom_solver=solve, is_convex=True)
-    spec_breg = _single_block_spec(4, shift=c, g=g)
-    spec_lg = _single_block_spec(4, shift=c)
+    prox_route = l1_nonsmooth(lam)
+    custom = BlockNonsmooth(eval=prox_route.eval, custom_solver=solve, is_convex=True)
+    spec_prox = _single_block_spec(4, shift=c, g=prox_route)
+    spec_custom = _single_block_spec(4, shift=c, g=custom)
     x = BlockVector([rng.standard_normal(4)])
     y = rng.standard_normal(4)
     w = rng.standard_normal(4)
-    sur_breg = SurrogateSpec(
-        SurrogateKind.BREGMAN, kappa=1.4, smoothness_const=2.5, kernel=quadratic_kernel()
-    )
-    sur_lg = SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=1.4, smoothness_const=2.5)
-    a = mm_block_update(0, sur_breg, spec_breg, x, y, w, 1.0)
-    b = mm_block_update(0, sur_lg, spec_lg, x, y, w, 1.0)
-    np.testing.assert_allclose(a.x_new, b.x_new, rtol=1e-14)
-    np.testing.assert_allclose(a.surrogate_grad, b.surrogate_grad, rtol=1e-12, atol=1e-14)
-    assert a.eta == pytest.approx(b.eta)
-    assert a.divergence == pytest.approx(b.divergence)
+    sur = SurrogateSpec(kappa=1.4, smoothness_const=2.5)
+    for step in (sur, sur.for_step(0.1)):
+        a = mm_block_update(0, step, spec_custom, x, y, w, 1.0)
+        b = mm_block_update(0, step, spec_prox, x, y, w, 1.0)
+        np.testing.assert_allclose(a.x_new, b.x_new, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(a.surrogate_grad, b.surrogate_grad, rtol=1e-12, atol=1e-14)
+        assert a.smoothness == b.smoothness
+        assert a.eta == pytest.approx(b.eta)
+        assert a.divergence == pytest.approx(b.divergence)
+    # The search below the ceiling ran: the curvature is 1 against a ceiling of 2.5.
+    assert a.smoothness < 2.5
 
 
 def test_bregman_quartic_kernel_update_is_first_order_stationary():
@@ -427,9 +444,7 @@ def test_bregman_quartic_kernel_update_is_first_order_stationary():
 
     g = BlockNonsmooth(eval=lambda v: 0.0, custom_solver=solve, is_convex=True)
     spec = _single_block_spec(3, shift=rng.standard_normal(3), g=g)
-    sur = SurrogateSpec(
-        SurrogateKind.BREGMAN, kappa=1.2, smoothness_const=1.5, kernel=kernel
-    )
+    sur = SurrogateSpec(kappa=1.2, smoothness_const=1.5, kernel=kernel)
     x = BlockVector([rng.standard_normal(3)])
     y = rng.standard_normal(3)
     w = rng.standard_normal(3)
@@ -443,18 +458,12 @@ def test_bregman_quartic_kernel_update_is_first_order_stationary():
 
 
 def test_const_at_callable_and_rejects_bad_values():
-    sur = SurrogateSpec(
-        SurrogateKind.LIPSCHITZ_GRADIENT,
-        kappa=1.1,
-        smoothness_const=lambda spec, x, y, w, beta: beta * 3.0,
-    )
+    sur = SurrogateSpec(kappa=1.1, smoothness_const=lambda spec, x, y, w, beta: beta * 3.0)
     spec = _single_block_spec(2)
     x = BlockVector([np.zeros(2)])
     got = sur.const_at(spec, x, np.zeros(2), np.zeros(2), 2.0)
     assert got == pytest.approx(6.0)
-    bad = SurrogateSpec(
-        SurrogateKind.LIPSCHITZ_GRADIENT, kappa=1.1, smoothness_const=lambda *a: -1.0
-    )
+    bad = SurrogateSpec(kappa=1.1, smoothness_const=lambda *a: -1.0)
     with pytest.raises(SurrogateError):
         bad.const_at(spec, x, np.zeros(2), np.zeros(2), 1.0)
 
@@ -462,7 +471,7 @@ def test_const_at_callable_and_rejects_bad_values():
 def test_verify_conditions_clean_quadratic():
     rng = make_rng(41)
     spec = _single_block_spec(3, shift=rng.standard_normal(3), g=l1_nonsmooth(0.1))
-    sur = SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=2.0, smoothness_const=1.0)
+    sur = SurrogateSpec(kappa=2.0, smoothness_const=1.0)
     x = BlockVector([rng.standard_normal(3)])
     y = rng.standard_normal(3)
     w = rng.standard_normal(3)
@@ -481,7 +490,7 @@ def test_verify_conditions_clean_quadratic():
 
 def test_verify_conditions_tight_at_anchor():
     spec = _single_block_spec(2)
-    sur = SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=1.5, smoothness_const=1.0)
+    sur = SurrogateSpec(kappa=1.5, smoothness_const=1.0)
     x = BlockVector([np.array([0.3, -0.7])])
     diag = verify_surrogate_conditions(
         sur, spec, 0, x, np.zeros(2), np.zeros(2), 1.0, x.blocks[0]
@@ -492,7 +501,7 @@ def test_verify_conditions_tight_at_anchor():
 def test_verify_conditions_flags_understated_constant():
     # Claiming a tenth of the true curvature breaks majorization at probes.
     spec = _single_block_spec(3)
-    sur = SurrogateSpec(SurrogateKind.LIPSCHITZ_GRADIENT, kappa=1.0, smoothness_const=0.1)
+    sur = SurrogateSpec(kappa=1.0, smoothness_const=0.1)
     x = BlockVector([np.array([1.0, 2.0, -1.0])])
     y = np.zeros(3)
     w = np.zeros(3)
@@ -515,12 +524,10 @@ def test_verify_conditions_flags_zero_eta_bregman():
 
     g = BlockNonsmooth(eval=lambda v: 0.0, custom_solver=solve, is_convex=True)
     spec = _single_block_spec(2, g=g)
-    sur = SurrogateSpec(
-        SurrogateKind.BREGMAN, kappa=1.0, smoothness_const=2.0, kernel=kernel
-    )
+    sur = SurrogateSpec(kappa=1.0, smoothness_const=2.0, kernel=kernel)
     x = BlockVector([np.array([0.4, 0.1])])
     res = mm_block_update(0, sur, spec, x, np.zeros(2), np.zeros(2), 1.0)
     assert res.eta == pytest.approx(1e-8)  # clamped to the floor
     diag = verify_surrogate_conditions(sur, spec, 0, x, np.zeros(2), np.zeros(2), 1.0, res.x_new)
     assert not diag.positive_eta
-    assert diag.strong_convexity_ok is None  # diagnostic reserved for quadratic kinds
+    assert diag.strong_convexity_ok is None  # diagnostic reserved for the quadratic kernel
