@@ -173,25 +173,27 @@ def _fitting(
 class _Product:
     """A^T v for the last block v it was asked about.
 
-    The key is a copy of that block, compared by contents: an O(d) test
-    against an O(dq) product. A block changed in place therefore never
-    reads a stale product, and one holding NaN never compares equal, so
-    it always gets a fresh one.
+    The key is that block array itself, compared by identity: an O(1)
+    test against an O(dq) product. It is sound because blocks are
+    read-only (see :class:`madmm.model.BlockVector`): an array seen before
+    still holds the values its product was formed from, and holding it
+    keeps its id from being reused. A step that leaves a block alone
+    shares its array, so the product is not formed again.
     """
 
     __slots__ = ("data", "key", "value")
 
     def __init__(self, data: Dataset):
         self.data = data
-        self.key = np.empty(0)
+        self.key = None
         self.value = np.empty(0)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        if not np.array_equal(v, self.key):
+        if v is not self.key:
             self.value = self.data.A.T @ v
             # Every caller gets this same array; none may write to it.
             self.value.setflags(write=False)
-            self.key = v.copy()
+            self.key = v
         return self.value
 
 

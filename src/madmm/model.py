@@ -31,13 +31,34 @@ class DomainError(Exception):
     """An iterate left the domain of a nonsmooth term (g_i infinite)."""
 
 
+def _frozen(block) -> np.ndarray:
+    """``block`` as a read-only 1-d float array that no one else can write.
+
+    An array that owns its data and is already read-only is kept as is;
+    anything else is copied once and the copy frozen, so a caller's array
+    is never frozen in place.
+    """
+    b = np.atleast_1d(np.asarray(block, dtype=np.float64))
+    if b.flags.owndata and not b.flags.writeable:
+        return b
+    b = b.copy()
+    b.flags.writeable = False
+    return b
+
+
 class BlockVector:
-    """Primal variable split into blocks (a list of 1-d float arrays)."""
+    """Primal variable split into blocks (read-only 1-d float arrays).
+
+    Blocks are never written: a step makes a new BlockVector with
+    :meth:`with_block`, which shares the untouched blocks by identity. So
+    an array seen as a block keeps its values for as long as it lives,
+    and a cache may key on the array itself.
+    """
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: Sequence[np.ndarray]):
-        self.blocks = [np.atleast_1d(np.asarray(b, dtype=np.float64)) for b in blocks]
+        self.blocks = tuple(_frozen(b) for b in blocks)
 
     @property
     def m(self) -> int:
@@ -47,12 +68,9 @@ class BlockVector:
     def dim(self) -> int:
         return sum(b.size for b in self.blocks)
 
-    def copy(self) -> "BlockVector":
-        return BlockVector([b.copy() for b in self.blocks])
-
     def with_block(self, i: int, new_block: np.ndarray) -> "BlockVector":
         blocks = list(self.blocks)
-        blocks[i] = np.atleast_1d(np.asarray(new_block, dtype=np.float64))
+        blocks[i] = new_block
         return BlockVector(blocks)
 
     def concat(self) -> np.ndarray:
@@ -117,14 +135,10 @@ def dense_map(matrix: np.ndarray) -> LinearMap:
     s, q = M.shape
     sv = np.linalg.svd(M, compute_uv=False)
     smin = float(sv[-1]) if sv.size else 0.0
-    lam_min_BtB = smin * smin if q <= min(s, q) and sv.size == q else 0.0
-    sigma_B = smin * smin if s <= min(s, q) and sv.size == s else 0.0
-    # The rank cannot exceed min(s, q): the q-by-q Gram matrix gains zero
+    # The rank cannot exceed min(s, q): the q-by-q Gram matrix has zero
     # eigenvalues when q > s, and the s-by-s one when s > q.
-    if q > s:
-        lam_min_BtB = 0.0
-    if s > q:
-        sigma_B = 0.0
+    lam_min_BtB = smin * smin if q <= s else 0.0
+    sigma_B = smin * smin if s <= q else 0.0
     return LinearMap(
         apply=lambda v: M @ v,
         adjoint_apply=lambda v: M.T @ v,
@@ -133,30 +147,6 @@ def dense_map(matrix: np.ndarray) -> LinearMap:
         lambda_min_BtB=lam_min_BtB,
         sigma_B=sigma_B,
     )
-
-
-def _power_iteration(
-    op: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    rng: np.random.Generator,
-    iters: int = 200,
-    tol: float = 1e-8,
-) -> float:
-    """Largest eigenvalue of a symmetric PSD operator given by its action."""
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = op(v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ op(v_new))
-        if abs(lam_new - lam) <= tol * (1.0 + abs(lam_new)):
-            return lam_new
-        lam, v = lam_new, v_new
-    return lam
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Dataset, make_rng
 from .logistic import _scores, fitting_error, initial_state, logistic_smooth_term
-from .model import _power_iteration, soft_threshold
+from .model import soft_threshold
 from .solver import SolverError
 from .trace import TraceRecord
 
@@ -152,6 +152,35 @@ def apg_solve(
         if cert <= tol:
             break
     return x, cert, it
+
+
+def _power_iteration(
+    op: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    rng: np.random.Generator,
+    iters: int = 200,
+    tol: float = 1e-8,
+) -> float:
+    """Largest eigenvalue of a symmetric PSD operator given by its action.
+
+    One action per loop: the Rayleigh quotient's op(v) is the next
+    loop's power step.
+    """
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    w = op(v)
+    lam = 0.0
+    for _ in range(iters):
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        w = op(v)
+        lam_new = float(v @ w)
+        if abs(lam_new - lam) <= tol * (1.0 + abs(lam_new)):
+            return lam_new
+        lam = lam_new
+    return lam
 
 
 def prox_linear_step(

@@ -3,8 +3,9 @@
 One outer iteration performs, in order:
 
 1. a cyclic pass over the x-blocks, each minimizing its surrogate plus g_i
-   (Gauss-Seidel: later blocks see earlier updates); a step whose
-   surrogate minimizes out a second block moves that block as well,
+   (Gauss-Seidel: later blocks see earlier updates) and returning the next
+   iterate; a step whose surrogate minimizes out a second block moves that
+   block as well,
 2. a closed-form update of the auxiliary variable y from one quadratic
    model of h, solving (beta B*B + L_h I) y+ = L_h y - grad h(y) - B*(w +
    beta phi(x+)),
@@ -245,6 +246,12 @@ def run(
     "max_iters", "budget" (wall clock), "diverged" (non-finite or
     runaway augmented Lagrangian). Raises ``model.DomainError`` when an
     iterate makes some g_i infinite.
+
+    ``x0`` is taken as is (its blocks are read-only). Each block step
+    returns the next iterate, so the iterate changes only by
+    :meth:`BlockVector.with_block` and a null step (one that leaves its
+    block where it was) keeps the very arrays, and the cached products of
+    the setup's score state, of the iterate before it.
     """
     if len(surrogates) != spec.m:
         raise ValueError(f"expected {spec.m} surrogates, got {len(surrogates)}")
@@ -271,7 +278,7 @@ def run(
         if strict:
             raise SolverError(msg)
 
-    x = x0.copy()
+    x = x0
     y = np.atleast_1d(np.asarray(y0, dtype=np.float64)).copy()
     w = np.atleast_1d(np.asarray(w0, dtype=np.float64)).copy()
     cache: dict = {}
@@ -295,19 +302,16 @@ def run(
     prev_const: list[Optional[float]] = [None] * spec.m
 
     for k in range(1, config.max_outer_iters + 1):
-        # Steps replace blocks and never write into them.
+        # Blocks are read-only; each step returns a new iterate.
         x_prev = x
         lag = lag_val
         surrogate_grads: list[np.ndarray] = []
 
         for i in range(spec.m):
             upd = mm_block_update(i, surrogates[i].for_step(prev_const[i]), spec, x, y, w, beta)
-            x = x.with_block(i, upd.x_new)
-            if upd.x_out is not None:
-                # A step that minimizes out a second block moves it too;
-                # the ledger below certifies the pair. The fresh block
-                # list is this loop's own, so it is set in place.
-                x.blocks[surrogates[i].minimize_out] = upd.x_out
+            # A step that minimizes out a second block moves it too; the
+            # ledger below certifies the pair.
+            x = upd.x
             prev_const[i] = upd.smoothness
             surrogate_grads.append(upd.surrogate_grad)
             min_eta = min(min_eta, upd.eta)

@@ -22,11 +22,12 @@ for a constant under which the surrogate majorizes at the new point (see
 A surrogate may also minimize out a second block j, an intercept that
 shifts every component of phi by its value (partial minimization, or
 variable projection). Its step then majorizes the smooth part with block
-j at its exact minimizer, F_c(v) = min over x_j, and returns block j's
-minimizer at the new point along with the new block. The merged
-surrogate F(v, x_j) - F_c(v) + M(v), with M the Bregman majorizer of F_c,
-majorizes the smooth part in both blocks and touches it at the anchor,
-so the error bound eta * D in block i still holds for the pair.
+j at its exact minimizer, F_c(v) = min over x_j, and its next iterate
+carries block j's minimizer at the new point along with the new block.
+The merged surrogate F(v, x_j) - F_c(v) + M(v), with M the Bregman
+majorizer of F_c, majorizes the smooth part in both blocks and touches
+it at the anchor, so the error bound eta * D in block i still holds for
+the pair.
 """
 
 from __future__ import annotations
@@ -72,12 +73,7 @@ class BregmanKernel:
 
     eval: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    strong_convexity: float
     divergence: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-
-    def __post_init__(self) -> None:
-        if self.strong_convexity <= 0:
-            raise ValueError("kernel strong convexity must be positive")
 
 
 def _half_squared_distance(x: np.ndarray, z: np.ndarray) -> float:
@@ -88,7 +84,6 @@ def _half_squared_distance(x: np.ndarray, z: np.ndarray) -> float:
 _QUADRATIC_KERNEL = BregmanKernel(
     eval=lambda v: 0.5 * float(v @ v),
     grad=lambda v: np.asarray(v, dtype=np.float64),
-    strong_convexity=1.0,
     divergence=_half_squared_distance,
 )
 
@@ -119,7 +114,7 @@ def quartic_kernel() -> BregmanKernel:
         t = float(d @ (x + z))
         return 0.25 * t * t + 0.5 * (float(z @ z) + 1.0) * float(d @ d)
 
-    return BregmanKernel(eval=val, grad=grad, strong_convexity=1.0, divergence=div)
+    return BregmanKernel(eval=val, grad=grad, divergence=div)
 
 
 def bregman_divergence(kernel: BregmanKernel, x: np.ndarray, z: np.ndarray) -> float:
@@ -225,8 +220,12 @@ class BlockUpdateResult:
     ``x_new`` (its negative is a subgradient of g_i there); the solver
     stores it to form block stationarity residuals. ``eta`` and
     ``divergence`` feed the sufficient-decrease ledger. ``smoothness`` is
-    the constant the step used. ``x_out`` is the new value of the block
-    the surrogate minimizes out (``SurrogateSpec.minimize_out``), or None.
+    the constant the step used. ``x`` is the next iterate: block i set to
+    ``x_new`` and, when the surrogate minimizes out a block
+    (``SurrogateSpec.minimize_out``), that block set to its minimizer; every
+    other block is the input's own array. A null step (``divergence`` of
+    zero) returns the input iterate itself, with only the minimized-out
+    block replaced.
     """
 
     x_new: np.ndarray
@@ -234,7 +233,7 @@ class BlockUpdateResult:
     eta: float
     divergence: float
     smoothness: float
-    x_out: Optional[np.ndarray] = None
+    x: BlockVector
 
 
 def _check_minimize_out(i: int, out: int, spec: ProblemSpec) -> None:
@@ -269,8 +268,14 @@ def mm_block_update(
     to the block's ``custom_solver`` when it has one, and otherwise, under
     the quadratic kernel, to its prox. With ``surrogate.minimize_out``
     set, smooth and its gradient are those of F_c (block ``out`` at its
-    minimizer) and the result's ``x_out`` carries that block's minimizer
-    at ``x_new``; the caller replaces both blocks.
+    minimizer), and block ``out`` moves to its minimizer at ``x_new``.
+
+    The result's ``x`` is the next iterate, made with
+    :meth:`BlockVector.with_block` (no block is written): the accepted
+    test's trial iterate when a test was made, so that a cache keyed on
+    its block arrays is reused. A null step, one whose ``x_new`` is at
+    zero divergence from the anchor, skips the test (it would compare a
+    value with itself) and keeps the input's block i.
     """
     z_i = x.blocks[i]
     g = spec.gs[i]
@@ -291,12 +296,13 @@ def mm_block_update(
     smooth_z = None
     r = None
     if out is not None:
-        r, _ = shift_minimized_residual(spec, x, y, w, beta)
+        r, anchor_shift = shift_minimized_residual(spec, x, y, w, beta)
         if L < ceiling:
             smooth_z = smooth_part_value(spec, x, y, w, beta, r)
     elif L < ceiling:
         smooth_z, r = smooth_part_and_residual(spec, x, y, w, beta)
     grad = smooth_part_block_grad(spec, i, x, y, w, beta, r)
+    x_try = None
     shift = None
     while True:
         coeff = surrogate.kappa * L
@@ -306,7 +312,7 @@ def mm_block_update(
             x_new = solver(BlockSubproblem(z_i, grad, coeff, kernel))
         x_new = np.atleast_1d(x_new)
         divergence = bregman_divergence(kernel, x_new, z_i)
-        if L >= ceiling:
+        if L >= ceiling or divergence == 0.0:
             break
         x_try = x.with_block(i, x_new)
         r_try = None
@@ -316,13 +322,21 @@ def mm_block_update(
         if smooth_new <= smooth_z + float(grad @ (x_new - z_i)) + L * divergence:
             break
         L = min(BACKTRACK_GROWTH * L, ceiling)
-        shift = None
+        x_try = None
     surrogate_grad = grad + coeff * (kernel.grad(x_new) - kernel.grad(z_i))
     eta = max((surrogate.kappa - 1.0) * L, ETA_FLOOR)
-    x_out = None
+    if divergence == 0.0:
+        # Null step: the block stays, and block ``out`` moves by the
+        # anchor's own shift.
+        x_next = x
+        shift = None if out is None else anchor_shift
+    elif x_try is not None:
+        x_next = x_try
+    else:
+        # Accepted at the ceiling, untested.
+        x_next = x.with_block(i, x_new)
+        if out is not None:
+            _, shift = shift_minimized_residual(spec, x_next, y, w, beta)
     if out is not None:
-        if shift is None:
-            # Accepted at the ceiling, untested.
-            _, shift = shift_minimized_residual(spec, x.with_block(i, x_new), y, w, beta)
-        x_out = x.blocks[out] + shift
-    return BlockUpdateResult(x_new, surrogate_grad, eta, divergence, L, x_out)
+        x_next = x_next.with_block(out, x.blocks[out] + shift)
+    return BlockUpdateResult(x_next.blocks[i], surrogate_grad, eta, divergence, L, x_next)

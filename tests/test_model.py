@@ -35,9 +35,36 @@ def test_block_vector_basics():
     np.testing.assert_array_equal(x.blocks[0], [1.0, 2.0])  # original untouched
     np.testing.assert_array_equal(y.concat(), [0.0, 0.0, 3.0])
     assert x.diff_norm(y) == pytest.approx(np.sqrt(5.0))
-    z = x.copy()
-    z.blocks[0][0] = 99.0
-    assert x.blocks[0][0] == 1.0
+    assert y.blocks[1] is x.blocks[1]  # untouched blocks are shared
+
+
+def test_block_vector_blocks_are_read_only():
+    x = BlockVector([np.array([1.0, 2.0]), np.array(3.0)])
+    y = x.with_block(0, np.zeros(2))
+    for v in (x, y):
+        for i in range(v.m):
+            with pytest.raises(ValueError):
+                v.blocks[i][0] = 5.0
+    with pytest.raises(TypeError):
+        x.blocks[0] = np.zeros(2)
+
+
+def test_block_vector_copies_arrays_it_does_not_own():
+    a = np.array([1.0, 2.0])
+    x = BlockVector([a])
+    y = x.with_block(0, a)
+    assert a.flags.writeable
+    a[0] = 7.0
+    assert x.blocks[0][0] == 1.0 and y.blocks[0][0] == 1.0
+    # A read-only view still sees writes to its base, so it is copied too.
+    base = np.arange(4.0)
+    view = base[:2]
+    view.flags.writeable = False
+    z = BlockVector([view])
+    base[0] = 9.0
+    assert z.blocks[0][0] == 0.0
+    # Its own frozen blocks are kept as they are.
+    assert BlockVector(x.blocks).blocks[0] is x.blocks[0]
 
 
 def test_scaled_identity_map_constants():

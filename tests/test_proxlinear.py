@@ -10,6 +10,7 @@ from madmm.model import soft_threshold
 from madmm.proxlinear import (
     CompositeModel,
     ProxLinearConfig,
+    _power_iteration,
     apg_solve,
     default_tau,
     logistic_composite_model,
@@ -32,6 +33,27 @@ def test_config_validation():
         ProxLinearConfig(stop_epsilon=-1.0)
     with pytest.raises(ValueError):
         ProxLinearConfig(trace_stride=0)
+
+
+def test_power_iteration_applies_the_operator_once_per_loop():
+    diag = np.array([3.0, 2.5, 0.5, 0.1])
+    calls = [0]
+
+    def op(v):
+        calls[0] += 1
+        return diag * v
+
+    # With tol=0 the five loops run out; each takes one action, after the first.
+    lam = _power_iteration(op, 4, make_rng(0), iters=5, tol=0.0)
+    assert calls[0] == 6
+    v = make_rng(0).standard_normal(4)
+    v /= np.linalg.norm(v)
+    for _ in range(5):
+        w = diag * v
+        v = w / np.linalg.norm(w)
+    assert lam == float(v @ (diag * v))
+    assert _power_iteration(op, 4, make_rng(0)) == pytest.approx(3.0, rel=1e-6)
+    assert _power_iteration(lambda v: 0.0 * v, 4, make_rng(0)) == 0.0
 
 
 def test_apg_solve_quadratic_converges_fast():

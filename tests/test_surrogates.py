@@ -176,8 +176,10 @@ def test_minimize_out_is_validated():
     # Accepted: x_0 stays put, and the intercept lands on minus the mean of x_0.
     res = step(1)
     np.testing.assert_array_equal(res.x_new, np.ones(3))
-    np.testing.assert_allclose(res.x_out, [-1.0], rtol=1e-15)
-    assert step(None).x_out is None
+    assert res.x.blocks[0] is x.blocks[0]
+    np.testing.assert_allclose(res.x.blocks[1], [-1.0], rtol=1e-15)
+    # Without minimize_out the null step returns the iterate itself.
+    assert step(None).x is x
 
 
 def _single_block_spec(n, shift=None, g=None):
