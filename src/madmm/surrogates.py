@@ -275,7 +275,11 @@ def mm_block_update(
     test's trial iterate when a test was made, so that a cache keyed on
     its block arrays is reused. A null step, one whose ``x_new`` is at
     zero divergence from the anchor, skips the test (it would compare a
-    value with itself) and keeps the input's block i.
+    value with itself), keeps the input's block i, and reports
+    ``prev_const`` (within the floor and the ceiling) rather than the
+    decayed start, so that a block held still for many steps does not
+    have to grow its constant back from the floor once it moves. The
+    anchor minimizes the subproblem under any larger coefficient too.
     """
     z_i = x.blocks[i]
     g = spec.gs[i]
@@ -324,10 +328,12 @@ def mm_block_update(
         L = min(BACKTRACK_GROWTH * L, ceiling)
         x_try = None
     surrogate_grad = grad + coeff * (kernel.grad(x_new) - kernel.grad(z_i))
-    eta = max((surrogate.kappa - 1.0) * L, ETA_FLOOR)
     if divergence == 0.0:
         # Null step: the block stays, and block ``out`` moves by the
-        # anchor's own shift.
+        # anchor's own shift. The step says nothing about the curvature,
+        # so it keeps the previous constant instead of decaying it.
+        if surrogate.prev_const is not None:
+            L = min(max(surrogate.prev_const, L), ceiling)
         x_next = x
         shift = None if out is None else anchor_shift
     elif x_try is not None:
@@ -339,4 +345,5 @@ def mm_block_update(
             _, shift = shift_minimized_residual(spec, x_next, y, w, beta)
     if out is not None:
         x_next = x_next.with_block(out, x.blocks[out] + shift)
+    eta = max((surrogate.kappa - 1.0) * L, ETA_FLOOR)
     return BlockUpdateResult(x_next.blocks[i], surrogate_grad, eta, divergence, L, x_next)

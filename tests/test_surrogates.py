@@ -358,6 +358,36 @@ def test_exactly_quadratic_block_accepts_its_ceiling_on_every_step():
         x = BlockVector([res.x_new])
 
 
+def test_null_steps_keep_the_constant_a_later_move_needs():
+    # g = ||.||_1 at x = 0 and smooth part (1/2)||x - shift||^2: the block
+    # stays at 0 while |shift| <= 1, and its curvature is exactly 1.
+    tries = [0]
+    l1 = l1_nonsmooth(1.0)
+
+    def prox(v, t):
+        tries[0] += 1
+        return l1.prox(v, t)
+
+    g = replace(l1, prox=prox)
+    still = _single_block_spec(3, shift=np.full(3, 0.5), g=g)
+    moving = _single_block_spec(3, shift=np.full(3, 3.0), g=g)
+    sur = SurrogateSpec(kappa=1.0, smoothness_const=1.0)
+    x = BlockVector([np.zeros(3)])
+    y = w = np.zeros(3)
+    prev = None
+    for _ in range(300):
+        res = mm_block_update(0, sur.for_step(prev), still, x, y, w, 1.0)
+        assert res.divergence == 0.0 and res.x is x
+        prev = res.smoothness
+    # Its constant did not decay toward the floor, so the moving step
+    # fails once at 0.9 and is then taken at the ceiling.
+    tries[0] = 0
+    res = mm_block_update(0, sur.for_step(prev), moving, x, y, w, 1.0)
+    assert res.divergence > 0.0
+    assert tries[0] <= 3
+    assert res.smoothness == 1.0
+
+
 def test_step_inputs_are_not_part_of_the_surrogate_config():
     # prev_const describes one step: it cannot be set at construction, and
     # a copy made with replace() drops it.
