@@ -247,11 +247,10 @@ def run(
     runaway augmented Lagrangian). Raises ``model.DomainError`` when an
     iterate makes some g_i infinite.
 
-    ``x0`` is taken as is (its blocks are read-only). Each block step
-    returns the next iterate, so the iterate changes only by
-    :meth:`BlockVector.with_block` and a null step (one that leaves its
-    block where it was) keeps the very arrays, and the cached products of
-    the setup's score state, of the iterate before it.
+    ``x0`` is taken as is; its blocks are read-only. Each block step
+    returns the next iterate (see :func:`surrogates.mm_block_update`), so
+    a block that a step leaves alone keeps its array, and with it any
+    product cached for that array.
     """
     if len(surrogates) != spec.m:
         raise ValueError(f"expected {spec.m} surrogates, got {len(surrogates)}")
