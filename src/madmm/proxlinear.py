@@ -10,8 +10,9 @@ monotone restart, prox-gradient mapping norm as the certificate). The
 generic :class:`CompositeModel` keeps the solver testable on toy models;
 :func:`logistic_composite_model` instantiates the classifier benchmark
 over the concatenated variable [quadratic weights; linear weights;
-intercept], with each Jacobian action one pass over the feature matrix
-(three d-by-q products per inner iteration: two forward, one adjoint).
+intercept], with each Jacobian action one pass over the feature matrix.
+The inner solver carries each point's image under the Jacobian, so an
+inner iteration makes two d-by-q products: one forward, one adjoint.
 """
 
 from __future__ import annotations
@@ -64,10 +65,13 @@ class CompositeModel:
 class ProxLinearConfig:
     """Step size and inner-solver budget.
 
-    ``tau`` of None defers to the model's default (for the classifier,
-    the product of the loss-curvature and map-curvature bounds,
-    inverted). ``stop_epsilon`` tests the step-based stationarity measure
-    ||x+ - x|| / tau; zero disables it.
+    ``tau`` of None defers to :func:`default_tau`, which pairs the map's
+    curvature with the loss's *gradient* Lipschitz constant and does not
+    certify the model: it is 20-30 times above ``q / (2 ||A||_2^2)``,
+    the step under which the model majorizes the fit. Non-finite floats
+    and a negative ``wall_clock_budget`` are rejected; a budget of zero
+    stops after one outer step. ``stop_epsilon`` tests the step-based
+    stationarity measure ||x+ - x|| / tau; zero disables it.
     """
 
     tau: Optional[float] = None
@@ -80,10 +84,16 @@ class ProxLinearConfig:
     trace_stride: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("tau", "inner_tol", "wall_clock_budget", "stop_epsilon"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.tau is not None and self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.inner_tol <= 0:
             raise ValueError("inner_tol must be positive")
+        if self.wall_clock_budget is not None and self.wall_clock_budget < 0:
+            raise ValueError("wall_clock_budget must be nonnegative")
         if self.inner_max_iters < 1 or self.max_outer_iters < 1:
             raise ValueError("iteration budgets must be >= 1")
         if self.stop_epsilon < 0:
@@ -106,8 +116,8 @@ class ProxLinearResult:
 
 
 def apg_solve(
-    smooth_eval: Callable[[np.ndarray], float],
-    smooth_grad: Callable[[np.ndarray], np.ndarray],
+    smooth_eval: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    smooth_grad: Callable[[np.ndarray, np.ndarray], np.ndarray],
     nonsmooth_eval: Callable[[np.ndarray], float],
     prox: Callable[[np.ndarray, float], np.ndarray],
     x0: np.ndarray,
@@ -116,6 +126,12 @@ def apg_solve(
     max_iters: int,
 ) -> tuple[np.ndarray, float, int]:
     """Accelerated proximal gradient with monotone restart.
+
+    The smooth part acts through an affine image of the point:
+    ``smooth_eval(x)`` returns ``(value, image)`` and ``smooth_grad(x,
+    image)`` takes that image back instead of forming it again. Images are
+    combined exactly as their points are, so the extrapolated point's
+    image costs no evaluation.
 
     Runs until the prox-gradient mapping norm L ||z - prox(z - grad/L)||
     drops to ``tol`` or the iteration cap. When the accelerated candidate
@@ -127,28 +143,33 @@ def apg_solve(
     if lipschitz <= 0 or not math.isfinite(lipschitz):
         raise ValueError(f"need a finite positive step constant, got {lipschitz}")
     x = np.asarray(x0, dtype=np.float64).copy()
-    z = x.copy()
-    t = 1.0
-    obj_x = smooth_eval(x) + nonsmooth_eval(x)
+    f_x, m_x = smooth_eval(x)
+    obj_x = f_x + nonsmooth_eval(x)
     if not math.isfinite(obj_x):
         raise SolverError("inner objective non-finite at the starting point")
+    z, m_z = x, m_x
+    t = 1.0
     cert = math.inf
     step = 1.0 / lipschitz
     it = 0
     for it in range(1, max_iters + 1):
-        cand = prox(z - step * smooth_grad(z), step)
+        cand = prox(z - step * smooth_grad(z, m_z), step)
         cert = lipschitz * float(np.linalg.norm(z - cand))
-        obj_cand = smooth_eval(cand) + nonsmooth_eval(cand)
+        f_cand, m_cand = smooth_eval(cand)
+        obj_cand = f_cand + nonsmooth_eval(cand)
         if obj_cand > obj_x:
-            cand = prox(x - step * smooth_grad(x), step)
+            cand = prox(x - step * smooth_grad(x, m_x), step)
             cert = lipschitz * float(np.linalg.norm(x - cand))
-            obj_cand = smooth_eval(cand) + nonsmooth_eval(cand)
+            f_cand, m_cand = smooth_eval(cand)
+            obj_cand = f_cand + nonsmooth_eval(cand)
             t = 1.0
         if not math.isfinite(obj_cand):
             raise SolverError("inner objective became non-finite")
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = cand + ((t - 1.0) / t_next) * (cand - x)
-        x, obj_x, t = cand, obj_cand, t_next
+        c = (t - 1.0) / t_next
+        z = cand + c * (cand - x)
+        m_z = m_cand + c * (m_cand - m_x)
+        x, m_x, obj_x, t = cand, m_cand, obj_cand, t_next
         if cert <= tol:
             break
     return x, cert, it
@@ -201,13 +222,14 @@ def prox_linear_step(
     jnorm_sq = _power_iteration(lambda v: j_adjoint(j_apply(v)), model.dim, rng)
     l_sub = JNORM_SAFETY * jnorm_sq * model.outer_grad_lipschitz + 1.0 / tau
 
-    def smooth_eval(xi: np.ndarray) -> float:
+    # The image carried through the inner solver is J(x_k)(xi - x_k).
+    def smooth_eval(xi: np.ndarray) -> tuple[float, np.ndarray]:
         delta = xi - x_k
-        return model.outer_eval(anchor + j_apply(delta)) + 0.5 * float(delta @ delta) / tau
+        image = j_apply(delta)
+        return model.outer_eval(anchor + image) + 0.5 * float(delta @ delta) / tau, image
 
-    def smooth_grad(xi: np.ndarray) -> np.ndarray:
-        delta = xi - x_k
-        return j_adjoint(model.outer_grad(anchor + j_apply(delta))) + delta / tau
+    def smooth_grad(xi: np.ndarray, image: np.ndarray) -> np.ndarray:
+        return j_adjoint(model.outer_grad(anchor + image)) + (xi - x_k) / tau
 
     return apg_solve(
         smooth_eval,
@@ -235,8 +257,9 @@ def logistic_composite_model(data: Dataset, lam1: float, lam2: float) -> Composi
     block solver's logistic loss, which holds the labels.
 
     The map and both Jacobian actions each make one pass over A: the two
-    weight blocks go through a single d-by-2 (or 2-column) product, so an
-    inner iteration costs three products instead of six.
+    weight blocks go through a single d-by-2 (or 2-column) product. An
+    inner iteration applies J once forward (the candidate's image) and
+    once adjoint (the gradient), so it costs two products.
     """
     A, d = data.A, data.d
     loss = logistic_smooth_term(data)
@@ -290,11 +313,17 @@ def logistic_composite_model(data: Dataset, lam1: float, lam2: float) -> Composi
 
 
 def default_tau(data: Dataset) -> float:
-    """Inverse of (loss curvature bound) * (map curvature bound).
+    """Step ``4q / (2 sqrt(sum ||a_i||^4))``; unit columns give 2 sqrt(q).
 
-    The map's second-order remainder constant is 2 sqrt(sum ||a_i||^4)
-    (only the squared inner products are nonlinear); the loss gradient
-    bound is 1/(4q). Unit columns give 2 sqrt(q) overall.
+    It inverts the product of the map's second-order remainder constant
+    2 sqrt(sum ||a_i||^4) (only the squared inner products are nonlinear)
+    and the loss's *gradient* Lipschitz constant 1/(4q). That pairing does
+    not certify the model. The linearized model majorizes the fit under
+    the loss's *value* Lipschitz constant, which gives
+    ``tau <= q / (2 ||A||_2^2)``, and this tau is 20-30 times above it
+    (13.3 against 0.662 on synthetic 7129x44, 20 against 0.664 on
+    1000x100, seed 1). The fit can rise: on that 7129x44 instance it
+    does at outer step 4.
     """
     map_curv = 2.0 * float(np.sqrt(np.sum(data.column_norms**4)))
     return 4.0 * data.q / map_curv

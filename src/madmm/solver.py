@@ -67,10 +67,16 @@ class SolverConfig:
     trace_stride: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("beta", "delta_tilde", "wall_clock_budget", "stop_epsilon"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         if self.delta_tilde <= 1.0:
             raise ValueError("delta_tilde must exceed 1")
+        if self.wall_clock_budget is not None and self.wall_clock_budget < 0:
+            raise ValueError("wall_clock_budget must be nonnegative")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
         if self.stop_epsilon < 0:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from madmm import proxlinear
 from madmm.data import make_rng, synthetic_generate
 from madmm.logistic import fitting_error, initial_state, phi_eval, phi_jac_block_apply
 from madmm.model import soft_threshold
@@ -33,6 +34,13 @@ def test_config_validation():
         ProxLinearConfig(stop_epsilon=-1.0)
     with pytest.raises(ValueError):
         ProxLinearConfig(trace_stride=0)
+    with pytest.raises(ValueError):
+        ProxLinearConfig(wall_clock_budget=-1.0)
+    for name in ("tau", "inner_tol", "wall_clock_budget", "stop_epsilon"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                ProxLinearConfig(**{name: bad})
+    assert ProxLinearConfig(wall_clock_budget=0.0).wall_clock_budget == 0.0
 
 
 def test_power_iteration_applies_the_operator_once_per_loop():
@@ -59,8 +67,8 @@ def test_power_iteration_applies_the_operator_once_per_loop():
 def test_apg_solve_quadratic_converges_fast():
     c = np.array([1.0, -2.0, 3.0])
     x, cert, it = apg_solve(
-        smooth_eval=lambda v: 0.5 * float((v - c) @ (v - c)),
-        smooth_grad=lambda v: v - c,
+        smooth_eval=lambda v: (0.5 * float((v - c) @ (v - c)), v - c),
+        smooth_grad=lambda v, image: image,
         nonsmooth_eval=lambda v: 0.0,
         prox=lambda v, t: v,
         x0=np.zeros(3),
@@ -77,8 +85,8 @@ def test_apg_solve_lasso_lands_on_soft_threshold():
     v = np.array([2.0, -0.4, 0.7, 0.0])
     lam = 0.5
     x, cert, _ = apg_solve(
-        smooth_eval=lambda u: 0.5 * float((u - v) @ (u - v)),
-        smooth_grad=lambda u: u - v,
+        smooth_eval=lambda u: (0.5 * float((u - v) @ (u - v)), u - v),
+        smooth_grad=lambda u, image: image,
         nonsmooth_eval=lambda u: lam * float(np.abs(u).sum()),
         prox=lambda u, t: soft_threshold(u, lam * t),
         x0=np.zeros(4),
@@ -100,8 +108,8 @@ def test_apg_solve_ill_conditioned_never_increases():
 
     x0 = rng.standard_normal(6)
     x, _, _ = apg_solve(
-        smooth_eval=f,
-        smooth_grad=lambda v: diag * (v - c),
+        smooth_eval=lambda v: (f(v), v - c),
+        smooth_grad=lambda v, image: diag * image,
         nonsmooth_eval=lambda v: 0.0,
         prox=lambda v, t: v,
         x0=x0,
@@ -116,14 +124,60 @@ def test_apg_solve_ill_conditioned_never_increases():
 def test_apg_solve_rejects_bad_inputs():
     with pytest.raises(ValueError):
         apg_solve(
-            lambda v: 0.0, lambda v: v, lambda v: 0.0, lambda v, t: v,
+            lambda v: (0.0, v), lambda v, image: v, lambda v: 0.0, lambda v, t: v,
             np.zeros(2), 0.0, 1e-6, 10,
         )
     with pytest.raises(SolverError):
         apg_solve(
-            lambda v: math.inf, lambda v: v, lambda v: 0.0, lambda v, t: v,
+            lambda v: (math.inf, v), lambda v, image: v, lambda v: 0.0, lambda v, t: v,
             np.zeros(2), 1.0, 1e-6, 10,
         )
+
+
+def test_apg_solve_carries_the_affine_image_of_every_point():
+    # f(x) = 0.5 ||Mx - c||^2 with image Mx - c: the image handed to each
+    # gradient, extrapolated ones included, is the one formed directly.
+    rng = make_rng(21)
+    M = rng.standard_normal((12, 8)) @ np.diag(np.logspace(0, 1, 8))
+    c = rng.standard_normal(12)
+    lam = 0.3
+    worst = [0.0]
+    calls = {"grad": 0, "prox": 0}
+
+    def smooth_grad(v, image):
+        calls["grad"] += 1
+        direct = M @ v - c
+        worst[0] = max(worst[0], float(np.linalg.norm(image - direct) / np.linalg.norm(direct)))
+        return M.T @ image
+
+    def prox(v, t):
+        calls["prox"] += 1
+        return soft_threshold(v, lam * t)
+
+    def smooth_eval(v):
+        r = M @ v - c
+        return 0.5 * float(r @ r), r
+
+    def nonsmooth_eval(v):
+        return lam * float(np.abs(v).sum())
+
+    x0 = rng.standard_normal(8)
+    x, cert, it = apg_solve(
+        smooth_eval=smooth_eval,
+        smooth_grad=smooth_grad,
+        nonsmooth_eval=nonsmooth_eval,
+        prox=prox,
+        x0=x0,
+        lipschitz=float(np.linalg.norm(M, 2) ** 2),
+        tol=1e-10,
+        max_iters=2000,
+    )
+    assert cert <= 1e-10
+    # Both paths ran: accelerated steps and monotone restarts.
+    assert calls["prox"] > it > 1
+    assert calls["grad"] == calls["prox"]
+    assert worst[0] <= 1e-12
+    assert smooth_eval(x)[0] + nonsmooth_eval(x) <= smooth_eval(x0)[0] + nonsmooth_eval(x0)
 
 
 def _identity_composite(n):
@@ -261,31 +315,73 @@ def test_logistic_jacobian_actions_match_blockwise_closed_forms(d, q):
     assert inner == ref_inner
 
 
-def test_logistic_jacobian_actions_make_one_pass_over_a():
-    products = []
+def _count_products(data):
+    """Give ``data`` a view of A that counts matrix products; returns the count."""
+    count = [0]
 
     class CountingMatrix(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul and method == "__call__":
-                products.append(ufunc)
+                count[0] += 1
             plain = tuple(np.asarray(x) if isinstance(x, CountingMatrix) else x for x in inputs)
             return getattr(ufunc, method)(*plain, **kwargs)
 
-    data = synthetic_generate(40, 7, make_rng(4))
     object.__setattr__(data, "A", data.A.view(CountingMatrix))
+    return count
+
+
+def test_logistic_jacobian_actions_make_one_pass_over_a():
+    data = synthetic_generate(40, 7, make_rng(4))
+    products = _count_products(data)
     model = logistic_composite_model(data, 0.01, 0.02)
     rng = make_rng(15)
     xi = rng.standard_normal(model.dim)
     j_apply, j_adjoint = model.jac_at(xi)
 
     def count(fn, arg):
-        products.clear()
+        before = products[0]
         fn(arg)
-        return len(products)
+        return products[0] - before
 
     assert count(j_apply, rng.standard_normal(model.dim)) == 1
     assert count(j_adjoint, rng.standard_normal(7)) == 1
     assert count(model.map_eval, xi) == 1
+
+
+def test_apg_inner_iterations_make_two_products_each(monkeypatch):
+    # One forward and one adjoint product per inner iteration: the
+    # extrapolated point's image is combined, not formed. The start forms
+    # one image, and each restart one gradient and one image.
+    data = synthetic_generate(200, 30, make_rng(16))
+    products = _count_products(data)
+    model = logistic_composite_model(data, 0.001, 0.01)
+    prox_calls = [0]
+    prox = model.nonsmooth_prox
+
+    def counted_prox(v, t):
+        prox_calls[0] += 1
+        return prox(v, t)
+
+    model = replace(model, nonsmooth_prox=counted_prox)
+    solves = []
+
+    def counted_apg(*args):
+        products0, prox0 = products[0], prox_calls[0]
+        x, cert, it = apg_solve(*args)
+        solves.append((products[0] - products0, it, prox_calls[0] - prox0 - it))
+        return x, cert, it
+
+    monkeypatch.setattr(proxlinear, "apg_solve", counted_apg)
+    x_blocks, _, _ = initial_state(data, 1)
+    x = pack_blocks(x_blocks.blocks[0], x_blocks.blocks[1], x_blocks.blocks[2][0])
+    tau = default_tau(data)
+    config = ProxLinearConfig(tau=tau)
+    for k in range(1, 6):
+        x, _, _ = prox_linear_step(model, x, tau, config, make_rng(k))
+    assert len(solves) == 5
+    assert sum(restarts for _, _, restarts in solves) > 0
+    for count, it, restarts in solves:
+        assert count <= 2 * it + 1 + 2 * restarts
 
 
 def test_default_tau_on_unit_columns():

@@ -84,6 +84,13 @@ def test_config_validation():
         SolverConfig(beta=1.0, trace_stride=0)
     with pytest.raises(ValueError):
         SolverConfig(beta=1.0, diagnostics_level="everything")
+    with pytest.raises(ValueError):
+        SolverConfig(beta=1.0, wall_clock_budget=-1.0)
+    for name in ("beta", "delta_tilde", "wall_clock_budget", "stop_epsilon"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{"beta": 1.0, name: bad})
+    assert SolverConfig(beta=1.0, wall_clock_budget=0.0).wall_clock_budget == 0.0
 
 
 def test_check_beta_condition_worked_example():
