@@ -294,10 +294,10 @@ def build_problem(
     Surrogate constants are supplied as callbacks of the runtime penalty
     weight, so one setup serves any solver configuration.
     """
-    if lam1 < 0 or lam2 < 0:
-        raise ValueError("l1 weights must be nonnegative")
-    if kappa1 < 1.0:
-        raise ValueError("kappa1 must be >= 1")
+    if not (0.0 <= lam1 < np.inf and 0.0 <= lam2 < np.inf):
+        raise ValueError(f"l1 weights must be finite and nonnegative, got {lam1} and {lam2}")
+    if not 1.0 <= kappa1 < np.inf:
+        raise ValueError(f"kappa1 must be finite and >= 1, got {kappa1}")
     q = data.q
     scores = _ScoreState(data)
     col_sq_sum = float(np.sum(scores.na2))

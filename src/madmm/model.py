@@ -213,8 +213,8 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 
 def l1_nonsmooth(lam: float, custom_solver=None) -> BlockNonsmooth:
     """g_i = lam * ||.||_1 with its exact prox."""
-    if lam < 0:
-        raise ValueError("l1 weight must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"l1 weight must be finite and nonnegative, got {lam}")
     return BlockNonsmooth(
         eval=lambda v: lam * float(np.abs(v).sum()),
         prox=lambda v, t: soft_threshold(v, lam * t),
@@ -267,14 +267,6 @@ def smooth_part_value(
     if spec.smooth_f is not None:
         val += spec.smooth_f.eval(x)
     return val
-
-
-def smooth_part_and_residual(
-    spec: ProblemSpec, x: BlockVector, y: np.ndarray, w: np.ndarray, beta: float
-) -> tuple[float, np.ndarray]:
-    """:func:`smooth_part_value` together with the residual phi(x) + B y it used."""
-    r = eval_feasibility(spec, x, y)
-    return smooth_part_value(spec, x, y, w, beta, r), r
 
 
 def shift_minimized_residual(

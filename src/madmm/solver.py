@@ -250,8 +250,9 @@ def run(
     ``fit_fn`` fills the trace's fit column (nan when omitted). Stop
     reasons: "epsilon" (combined residual under stop_epsilon),
     "max_iters", "budget" (wall clock), "diverged" (non-finite or
-    runaway augmented Lagrangian). Raises ``model.DomainError`` when an
-    iterate makes some g_i infinite.
+    runaway augmented Lagrangian). Raises ``ValueError`` when the start
+    does not fit ``spec`` or is not finite, and ``model.DomainError`` when
+    an iterate makes some g_i infinite.
 
     ``x0`` is taken as is; its blocks are read-only. Each block step
     returns the next iterate (see :func:`surrogates.mm_block_update`), so
@@ -286,6 +287,11 @@ def run(
     x = x0
     y = np.atleast_1d(np.asarray(y0, dtype=np.float64)).copy()
     w = np.atleast_1d(np.asarray(w0, dtype=np.float64)).copy()
+    if x.m != spec.m or not all(np.isfinite(b).all() for b in x.blocks):
+        raise ValueError(f"x0 must be {spec.m} blocks of finite numbers, got {x.m} blocks")
+    for name, v, dim in (("y0", y, spec.B.in_dim), ("w0", w, spec.phi.out_dim)):
+        if v.shape != (dim,) or not np.isfinite(v).all():
+            raise ValueError(f"{name} must be {dim} finite numbers, got shape {v.shape}")
     cache: dict = {}
     trace: list[TraceRecord] = []
     min_eta = math.inf

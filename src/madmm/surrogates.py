@@ -16,8 +16,11 @@ accounting consumes.
 
 Each step backtracks on L once a previous step's constant is known: the
 closed-form constant is then a ceiling, and the step searches below it
-for a constant under which the surrogate majorizes at the new point (see
-:func:`mm_block_update`).
+for a constant under which the surrogate majorizes at the new point.
+Every try solves the subproblem and forms the iterate it would return;
+the step ends on the first try that passes the test, reaches the
+ceiling (certified, so untested) or does not move the block (a null
+step, which returns the input iterate). See :func:`mm_block_update`.
 
 A surrogate may also minimize out a second block j, an intercept that
 shifts every component of phi by its value (partial minimization, or
@@ -37,14 +40,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .model import (
-    BlockVector,
-    ProblemSpec,
-    shift_minimized_residual,
-    smooth_part_and_residual,
-    smooth_part_block_grad,
-    smooth_part_value,
-)
+from . import model
+from .model import BlockVector, ProblemSpec, smooth_part_block_grad, smooth_part_value
 
 # Backtracking on a block's constant: each step starts from the
 # previously accepted constant times BACKTRACK_DECREASE and multiplies by
@@ -67,13 +64,13 @@ class SurrogateError(Exception):
 class BregmanKernel:
     """Strongly convex kernel defining a Bregman divergence.
 
-    ``divergence(x, z)``, when given, is a closed form of D(x, z) that
-    avoids the cancellation in kernel(x) - kernel(z) - <grad kernel(z), x - z>.
+    ``divergence(x, z)`` is a closed form of D(x, z) that avoids the
+    cancellation in kernel(x) - kernel(z) - <grad kernel(z), x - z>.
     """
 
     eval: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    divergence: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    divergence: Callable[[np.ndarray, np.ndarray], float]
 
 
 def _half_squared_distance(x: np.ndarray, z: np.ndarray) -> float:
@@ -118,17 +115,12 @@ def quartic_kernel() -> BregmanKernel:
 
 
 def bregman_divergence(kernel: BregmanKernel, x: np.ndarray, z: np.ndarray) -> float:
-    """D(x, z) = kernel(x) - kernel(z) - <grad kernel(z), x - z>.
-
-    Uses the kernel's closed form when it has one.
-    """
+    """D(x, z) = kernel(x) - kernel(z) - <grad kernel(z), x - z>, in the kernel's closed form."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if x.shape != z.shape:
         raise ValueError("bregman_divergence: shape mismatch")
-    if kernel.divergence is not None:
-        return kernel.divergence(x, z)
-    return kernel.eval(x) - kernel.eval(z) - float(kernel.grad(z) @ (x - z))
+    return kernel.divergence(x, z)
 
 
 ConstOrCallback = Union[float, Callable[[ProblemSpec, BlockVector, np.ndarray, np.ndarray, float], float]]
@@ -163,8 +155,8 @@ class SurrogateSpec:
     prev_const: Optional[float] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kappa < 1.0:
-            raise ValueError("kappa must be >= 1")
+        if not 1.0 <= self.kappa < np.inf:
+            raise ValueError(f"kappa must be finite and >= 1, got {self.kappa}")
         if self.minimize_out is not None and self.minimize_out < 0:
             raise ValueError(f"minimize_out must be a block index, got {self.minimize_out}")
 
@@ -257,29 +249,19 @@ def mm_block_update(
     """Minimize (surrogate for block i) + g_i and report decrease data.
 
     The step tries L = BACKTRACK_DECREASE * ``prev_const`` first (the
-    ceiling itself when there is no previous constant) and accepts it when
+    ceiling itself when there is no previous constant), accepts it when
 
         smooth(x_new) <= smooth(z) + <grad, x_new - z> + L * D(x_new, z),
 
-    otherwise it grows L by BACKTRACK_GROWTH and solves again. The
-    closed-form ceiling is a certified constant and is accepted untested.
-    The accepted L sets eta = (kappa - 1) L, so the step keeps the
-    sufficient decrease the solver's ledger checks. The subproblem goes
-    to the block's ``custom_solver`` when it has one, and otherwise, under
-    the quadratic kernel, to its prox. With ``surrogate.minimize_out``
-    set, smooth and its gradient are those of F_c (block ``out`` at its
-    minimizer), and block ``out`` moves to its minimizer at ``x_new``.
-
-    The result's ``x`` is the next iterate, made with
-    :meth:`BlockVector.with_block` (no block is written): the accepted
-    test's trial iterate when a test was made, so that a cache keyed on
-    its block arrays is reused. A null step, one whose ``x_new`` is at
-    zero divergence from the anchor, skips the test (it would compare a
-    value with itself), keeps the input's block i, and reports
-    ``prev_const`` (within the floor and the ceiling) rather than the
-    decayed start, so that a block held still for many steps does not
-    have to grow its constant back from the floor once it moves. The
-    anchor minimizes the subproblem under any larger coefficient too.
+    and otherwise grows L by BACKTRACK_GROWTH and solves again. The
+    closed-form ceiling is certified and accepted untested. A null step,
+    one with D(x_new, z) = 0, returns the input iterate and keeps
+    ``prev_const`` (within the floor and the ceiling). The accepted L sets
+    eta = (kappa - 1) L. The subproblem goes to the block's
+    ``custom_solver`` when it has one, and otherwise, under the quadratic
+    kernel, to its prox. With ``surrogate.minimize_out`` set, smooth is
+    F_c (block ``out`` at its minimizer), and block ``out`` moves to its
+    minimizer at the returned iterate.
     """
     z_i = x.blocks[i]
     g = spec.gs[i]
@@ -290,24 +272,20 @@ def mm_block_update(
     out = surrogate.minimize_out
     if out is not None:
         _check_minimize_out(i, out, spec)
+
+    def residual(v: BlockVector) -> tuple[np.ndarray, float]:
+        # phi(v) + B y and block ``out``'s shift (0 without one).
+        if out is None:
+            return model.eval_feasibility(spec, v, y), 0.0
+        return model.shift_minimized_residual(spec, v, y, w, beta)
+
+    prev = surrogate.prev_const
     ceiling = L = surrogate.const_at(spec, x, y, w, beta)
-    if surrogate.prev_const is not None:
-        start = BACKTRACK_DECREASE * surrogate.prev_const
-        L = min(max(start, BACKTRACK_MIN_RATIO * ceiling), ceiling)
-    # The anchor's value (needed below the ceiling only) and gradient
-    # share one residual; with block ``out`` minimized out, it is the
-    # residual at that block's minimizer.
-    smooth_z = None
-    r = None
-    if out is not None:
-        r, anchor_shift = shift_minimized_residual(spec, x, y, w, beta)
-        if L < ceiling:
-            smooth_z = smooth_part_value(spec, x, y, w, beta, r)
-    elif L < ceiling:
-        smooth_z, r = smooth_part_and_residual(spec, x, y, w, beta)
-    grad = smooth_part_block_grad(spec, i, x, y, w, beta, r)
-    x_try = None
-    shift = None
+    if prev is not None:
+        L = min(max(BACKTRACK_DECREASE * prev, BACKTRACK_MIN_RATIO * ceiling), ceiling)
+    r_z, shift_z = residual(x)
+    smooth_z = smooth_part_value(spec, x, y, w, beta, r_z)
+    grad = smooth_part_block_grad(spec, i, x, y, w, beta, r_z)
     while True:
         coeff = surrogate.kappa * L
         if solver is None:
@@ -316,34 +294,25 @@ def mm_block_update(
             x_new = solver(BlockSubproblem(z_i, grad, coeff, kernel))
         x_new = np.atleast_1d(x_new)
         divergence = bregman_divergence(kernel, x_new, z_i)
-        if L >= ceiling or divergence == 0.0:
+        if divergence == 0.0:
+            # The step says nothing about the curvature: keep the
+            # previous constant rather than decay it.
+            if prev is not None:
+                L = min(max(prev, L), ceiling)
+            x_next, shift = x, shift_z
             break
-        x_try = x.with_block(i, x_new)
-        r_try = None
-        if out is not None:
-            r_try, shift = shift_minimized_residual(spec, x_try, y, w, beta)
-        smooth_new = smooth_part_value(spec, x_try, y, w, beta, r_try)
-        if smooth_new <= smooth_z + float(grad @ (x_new - z_i)) + L * divergence:
+        x_next = x.with_block(i, x_new)
+        tested = L < ceiling
+        if tested or out is not None:
+            r, shift = residual(x_next)
+        if not tested:
+            break
+        bound = smooth_z + float(grad @ (x_new - z_i)) + L * divergence
+        if smooth_part_value(spec, x_next, y, w, beta, r) <= bound:
             break
         L = min(BACKTRACK_GROWTH * L, ceiling)
-        x_try = None
-    surrogate_grad = grad + coeff * (kernel.grad(x_new) - kernel.grad(z_i))
-    if divergence == 0.0:
-        # Null step: the block stays, and block ``out`` moves by the
-        # anchor's own shift. The step says nothing about the curvature,
-        # so it keeps the previous constant instead of decaying it.
-        if surrogate.prev_const is not None:
-            L = min(max(surrogate.prev_const, L), ceiling)
-        x_next = x
-        shift = None if out is None else anchor_shift
-    elif x_try is not None:
-        x_next = x_try
-    else:
-        # Accepted at the ceiling, untested.
-        x_next = x.with_block(i, x_new)
-        if out is not None:
-            _, shift = shift_minimized_residual(spec, x_next, y, w, beta)
     if out is not None:
         x_next = x_next.with_block(out, x.blocks[out] + shift)
+    surrogate_grad = grad + coeff * (kernel.grad(x_new) - kernel.grad(z_i))
     eta = max((surrogate.kappa - 1.0) * L, ETA_FLOOR)
     return BlockUpdateResult(x_next.blocks[i], surrogate_grad, eta, divergence, L, x_next)

@@ -511,6 +511,13 @@ def test_build_problem_wiring_and_validation():
         build_problem(data, -0.1, 0.0)
     with pytest.raises(ValueError):
         build_problem(data, 0.0, 0.0, kappa1=0.9)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="l1 weights"):
+            build_problem(data, bad, 0.1)
+        with pytest.raises(ValueError, match="l1 weights"):
+            build_problem(data, 0.001, bad)
+        with pytest.raises(ValueError, match="kappa1"):
+            build_problem(data, 0.001, 0.1, kappa1=bad)
 
 
 def test_one_solver_iteration_equals_manual_cycle():

@@ -120,6 +120,9 @@ def test_l1_nonsmooth_prox_is_exact():
     assert g.is_convex
     with pytest.raises(ValueError):
         l1_nonsmooth(-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            l1_nonsmooth(bad)
 
 
 def test_zero_nonsmooth():

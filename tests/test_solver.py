@@ -323,6 +323,30 @@ def test_run_wrong_surrogate_count():
         run(spec, [], x0, np.zeros(2), np.zeros(2), config)
 
 
+@pytest.mark.parametrize(
+    "name, x0, y0, w0",
+    [
+        ("x0", BlockVector([np.ones(2), np.ones(1)]), np.zeros(2), np.zeros(2)),
+        ("x0", BlockVector([np.array([1.0, math.nan])]), np.zeros(2), np.zeros(2)),
+        ("x0", BlockVector([np.array([math.inf, 1.0])]), np.zeros(2), np.zeros(2)),
+        ("y0", BlockVector([np.ones(2)]), np.array([0.0, math.nan]), np.zeros(2)),
+        ("y0", BlockVector([np.ones(2)]), np.array([0.0, math.inf]), np.zeros(2)),
+        ("y0", BlockVector([np.ones(2)]), np.zeros(3), np.zeros(2)),
+        ("w0", BlockVector([np.ones(2)]), np.zeros(2), np.array([math.nan, 0.0])),
+        ("w0", BlockVector([np.ones(2)]), np.zeros(2), np.array([math.inf, 0.0])),
+        ("w0", BlockVector([np.ones(2)]), np.zeros(2), np.zeros(1)),
+    ],
+    ids=[
+        "x0-block-count", "x0-nan", "x0-inf", "y0-nan", "y0-inf", "y0-length",
+        "w0-nan", "w0-inf", "w0-length",
+    ],
+)
+def test_run_rejects_a_bad_start(name, x0, y0, w0):
+    spec = _consensus_quadratic(2)
+    with pytest.raises(ValueError, match=name):
+        run(spec, [_lg_surrogate(9.0)], x0, y0, w0, SolverConfig(beta=8.0))
+
+
 def test_run_enforces_beta_condition():
     spec = _consensus_quadratic(2)
     config = SolverConfig(beta=0.5)

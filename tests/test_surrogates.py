@@ -16,6 +16,7 @@ from madmm.model import (
     SmoothTerm,
     l1_nonsmooth,
     scaled_identity_map,
+    shift_minimized_residual,
     smooth_part_value,
     soft_threshold,
     zero_nonsmooth,
@@ -129,8 +130,9 @@ def test_bregman_divergence_shape_mismatch():
 
 
 def test_surrogate_spec_validation():
-    with pytest.raises(ValueError):
-        SurrogateSpec(kappa=0.5, smoothness_const=1.0)
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa"):
+            SurrogateSpec(kappa=bad, smoothness_const=1.0)
     with pytest.raises(TypeError):
         SurrogateSpec()  # no constant: a required field
     assert SurrogateSpec(smoothness_const=1.0).kernel is quadratic_kernel()
@@ -386,6 +388,51 @@ def test_null_steps_keep_the_constant_a_later_move_needs():
     assert res.divergence > 0.0
     assert tries[0] <= 3
     assert res.smoothness == 1.0
+
+
+def test_null_step_after_a_failed_try_returns_the_anchor_iterate():
+    # The first try (below the ceiling) moves the block and fails its test;
+    # the try at the grown constant does not move it. The step is then a
+    # null step, and the rejected trial must not leak into its iterate.
+    coeffs = []
+
+    def solve(sub):
+        coeffs.append(sub.coeff)
+        return sub.z_i + np.array([1.0, 0.0, 0.0]) if len(coeffs) == 1 else sub.z_i
+
+    g = BlockNonsmooth(eval=lambda v: 0.0, custom_solver=solve, is_convex=True)
+    y = w = np.zeros(3)
+    sur = SurrogateSpec(kappa=1.0, smoothness_const=10.0)
+
+    # One block, curvature 1: the try at 0.45 fails.
+    spec = _single_block_spec(3, g=g)
+    x = BlockVector([np.array([1.0, 2.0, 4.0])])
+    res = mm_block_update(0, sur.for_step(0.5), spec, x, y, w, 1.0)
+    assert len(coeffs) == 2
+    assert res.divergence == 0.0 and res.x is x
+
+    # An intercept minimized out, phi(x) = x_0 + x_1 1: only the intercept
+    # moves, by the anchor's own shift.
+    spec = ProblemSpec(
+        m=2,
+        gs=[g, zero_nonsmooth()],
+        h=spec.h,
+        phi=NonlinearMap(
+            eval=lambda x: x.blocks[0] + x.blocks[1][0],
+            jac_block_apply=lambda i, x, w: w if i == 0 else np.array([w.sum()]),
+            out_dim=3,
+        ),
+        B=spec.B,
+    )
+    x = BlockVector([np.array([1.0, 2.0, 4.0]), np.zeros(1)])
+    coeffs.clear()
+    res = mm_block_update(0, replace(sur, minimize_out=1).for_step(0.5), spec, x, y, w, 1.0)
+    assert len(coeffs) == 2
+    assert res.divergence == 0.0
+    assert res.x.blocks[0] is x.blocks[0]
+    np.testing.assert_array_equal(
+        res.x.blocks[1], x.blocks[1] + shift_minimized_residual(spec, x, y, w, 1.0)[1]
+    )
 
 
 def test_step_inputs_are_not_part_of_the_surrogate_config():
